@@ -506,12 +506,6 @@ let run_bechamel () =
    instance).  With --baseline FILE, the acceptance numbers of an
    earlier record are embedded and per-metric speedups computed.        *)
 
-(* A row either runs (timed thunk) or is skipped with a note recorded
-   in its place — a measurement that would be dishonest on this host
-   (par-* scaling on one core) shows up as an explicit null, not as
-   coordination overhead masquerading as data. *)
-type case = Run of (unit -> unit) | Skip of string
-
 (* One named thunk per acceptance row.  The same thunks serve two
    passes: the timing pass (telemetry disabled, the numbers tracked
    across PRs) and one instrumented run per row for the per-phase time
@@ -525,7 +519,7 @@ let acceptance_cases () =
         let id =
           "hom-count-" ^ String.map (fun c -> if c = ' ' then '-' else c) name
         in
-        (id, Run (fun () -> ignore (Definability.Hom.count cg))))
+        (id, fun () -> ignore (Definability.Hom.count cg)))
       (census_graphs ())
   in
   (* End-to-end dispatch through the engine (instance validation, budget
@@ -538,79 +532,15 @@ let acceptance_cases () =
     List.map
       (fun lang ->
         ( "engine-" ^ lang ^ "-fig1-s2",
-          Run
-            (fun () ->
-              let budget = Engine.Budget.create ~fuel:200_000 () in
-              match
-                Engine.Registry.decide ~budget
-                  ~params:{ Engine.Registry.k = 2 } ~lang inst
-              with
-              | Ok _ -> ()
-              | Error msg -> failwith msg) ))
+          fun () ->
+            let budget = Engine.Budget.create ~fuel:200_000 () in
+            match
+              Engine.Registry.decide ~budget
+                ~params:{ Engine.Registry.k = 2 } ~lang inst
+            with
+            | Ok _ -> ()
+            | Error msg -> failwith msg ))
       [ "rpq"; "krem"; "rem"; "ree"; "ucrdpq" ]
-  in
-  (* Pool-size scaling rows: the three parallel kernels plus batched
-     dispatch, each timed at pool sizes 1/2/4 on instances heavy enough
-     for the round/subtree fan-out to engage.  Each thunk pins the pool
-     size itself (set_size is idempotent and cheap once the workers
-     exist), so the rows are self-contained and their order in the list
-     does not matter.  On a single-core host every par-* row would
-     measure coordination overhead masquerading as a scaling number, so
-     the whole block is skipped there: the record shows an explicit
-     null with a note instead of misleading data. *)
-  let par_names = [
-    "par-witness-rem-n6"; "par-ree-closure-n5";
-    "par-hom-violating-n7"; "par-batch-rem-12x";
-  ]
-  in
-  let par_rows =
-    if Domain.recommended_domain_count () = 1 then
-      List.concat_map
-        (fun size ->
-          List.map
-            (fun id ->
-              (Printf.sprintf "%s-d%d" id size, Skip "single-core host"))
-            par_names)
-        [ 1; 2; 4 ]
-    else
-      let gw, sw = krem_instance ~seed:8 ~n:6 ~delta:2 in
-      let gr, sr = krem_instance ~seed:15 ~n:5 ~delta:2 in
-      let gh =
-        Gen.random ~seed:23 ~n:7 ~delta:3 ~labels:[ "a"; "b" ] ~density:0.35 ()
-      in
-      let sh =
-        Datagraph.Tuple_relation.of_binary
-          (Gen.random_reachable_relation ~seed:23 gh ~count:3)
-      in
-      let batch_insts =
-        List.map
-          (fun seed ->
-            let bg, bs = krem_instance ~seed ~n:4 ~delta:2 in
-            Engine.Instance.of_binary bg bs)
-          [ 31; 32; 33; 34; 35; 36; 37; 38; 39; 40; 41; 42 ]
-      in
-      List.concat_map
-        (fun size ->
-          let at id f =
-            ( Printf.sprintf "%s-d%d" id size,
-              Run
-                (fun () ->
-                  Par.Pool.set_size size;
-                  f ()) )
-          in
-          [
-            at "par-witness-rem-n6" (fun () ->
-                ignore (Remd.search ~max_tuples:200_000 gw sw));
-            at "par-ree-closure-n5" (fun () ->
-                ignore (Reed.search ~max_size:2_000 gr sr));
-            at "par-hom-violating-n7" (fun () ->
-                ignore (Definability.Hom.search_violating gh sh));
-            at "par-batch-rem-12x" (fun () ->
-                List.iter
-                  (function Ok _ -> () | Error msg -> failwith msg)
-                  (Engine.Registry.decide_batch ~lang:"rem" batch_insts));
-          ])
-        [ 1; 2; 4 ]
   in
   (* Service rows: the content-addressed cache in isolation (hash cost,
      cold decide, warm hit — the warm/cold ratio is the acceptance
@@ -657,37 +587,35 @@ let acceptance_cases () =
     in
     [
       ( "service-hash-fig1-s2",
-        Run
-          (fun () ->
-            ignore (Service.Content_hash.instance_key ~lang:"rem" ~k:1 g s2t))
-      );
+        fun () ->
+          ignore (Service.Content_hash.instance_key ~lang:"rem" ~k:1 g s2t) );
       ( "service-decide-cold-ree-s2",
-        Run
-          (fun () ->
-            expect
-              (Service.Cache.decide (Service.Cache.create ()) ~lang:"ree" g s2t))
+        fun () ->
+          expect
+            (Service.Cache.decide (Service.Cache.create ()) ~lang:"ree" g s2t)
       );
-      ("service-decide-warm-ree-s2", Run (warm_hit ~lang:"ree" s2t));
-      ("service-decide-warm-rem-s2", Run (warm_hit ~lang:"rem" s2t));
+      ("service-decide-warm-ree-s2", warm_hit ~lang:"ree" s2t);
+      ("service-decide-warm-rem-s2", warm_hit ~lang:"rem" s2t);
       ( "service-socket-ping",
-        Run (exchange (Service.Wire.request_to_string Service.Wire.Ping)) );
-      ("service-socket-decide-warm-rem-s2", Run (exchange decide_line));
+        exchange (Service.Wire.request_to_string Service.Wire.Ping) );
+      ("service-socket-decide-warm-rem-s2", exchange decide_line);
     ]
   in
   homs
-  @ [ ("krem-k2-fig1-s2", Run (fun () -> ignore (krem_def g ~k:2 s2))) ]
-  @ engine_rows @ par_rows @ service_rows
+  @ [ ("krem-k2-fig1-s2", fun () -> ignore (krem_def g ~k:2 s2)) ]
+  @ engine_rows @ service_rows
 
 (* ------------------------------------------------------------------ *)
-(* Pool-size scaling curve: the three stealable kernels plus batched
-   dispatch, each measured at pool sizes 1/2/4/8 with per-row round
-   statistics (min/median/max over [scaling_rounds] rounds) — the
-   acceptance criterion for the work-stealing pool is the shape of this
-   curve, and a single best-of number cannot show whether d4 beat d1 by
-   scaling or by noise.  On a single-core host the whole family is
-   skipped (explicit nulls, not coordination overhead posing as data);
-   [host_domains] rides along in every row so a reader never has to
-   guess which kind of host produced it.                                *)
+(* Pool-size scaling curve, the bench's one pool-size family: the two
+   paths whose work depends on the pool size — Hom's parallel root split
+   and batched dispatch — each measured at pool sizes 1/2/4/8 with
+   per-row round statistics (min/median/max over [scaling_rounds]
+   rounds) — the acceptance criterion for the work-stealing pool is the
+   shape of this curve, and a single best-of number cannot show whether
+   d4 beat d1 by scaling or by noise.  On a single-core host the whole
+   family is skipped (explicit nulls, not coordination overhead posing
+   as data); [host_domains] rides along in every row so a reader never
+   has to guess which kind of host produced it.                         *)
 
 type scaling_row = {
   p_id : string;
@@ -701,8 +629,6 @@ let scaling_rounds = 5
 let scaling_sizes = [ 1; 2; 4; 8 ]
 
 let par_scaling_kernels () =
-  let gw, sw = krem_instance ~seed:8 ~n:6 ~delta:2 in
-  let gr, sr = krem_instance ~seed:15 ~n:5 ~delta:2 in
   let gh =
     Gen.random ~seed:23 ~n:7 ~delta:3 ~labels:[ "a"; "b" ] ~density:0.35 ()
   in
@@ -718,8 +644,6 @@ let par_scaling_kernels () =
       [ 31; 32; 33; 34; 35; 36; 37; 38; 39; 40; 41; 42 ]
   in
   [
-    ("witness", fun () -> ignore (Remd.search ~max_tuples:200_000 gw sw));
-    ("ree-closure", fun () -> ignore (Reed.search ~max_size:2_000 gr sr));
     ( "hom-violating",
       fun () -> ignore (Definability.Hom.search_violating gh sh) );
     ( "batch",
@@ -791,32 +715,21 @@ let par_scaling_rows () =
   end
 
 let acceptance_metrics cases =
-  List.map
-    (fun (id, case) ->
-      match case with
-      | Run f ->
-          let secs, reps = time_per_call f in
-          (id, `Time (secs, reps))
-      | Skip note -> (id, `Skipped note))
-    cases
+  List.map (fun (id, f) -> (id, time_per_call f)) cases
 
 (* One instrumented run per row: per-phase call counts and wall time
    from the aggregator sink, plus the full counter catalogue.  Runs
    after the timing pass so the timings are taken with telemetry
    disabled (the acceptance criterion) while the breakdown sees the
-   warm caches the timing pass left behind.  Skipped rows have nothing
-   to instrument and are omitted. *)
+   warm caches the timing pass left behind. *)
 let phase_breakdowns cases =
-  List.filter_map
-    (fun (id, case) ->
-      match case with
-      | Skip _ -> None
-      | Run f ->
-          let agg = Obs.Sink.Agg.create () in
-          Obs.enable [ Obs.Sink.Agg.sink agg ];
-          f ();
-          Obs.disable ();
-          Some (id, Obs.Sink.Agg.phases agg, Obs.Counter.all ()))
+  List.map
+    (fun (id, f) ->
+      let agg = Obs.Sink.Agg.create () in
+      Obs.enable [ Obs.Sink.Agg.sink agg ];
+      f ();
+      Obs.disable ();
+      (id, Obs.Sink.Agg.phases agg, Obs.Counter.all ()))
     cases
 
 (* ------------------------------------------------------------------ *)
@@ -1395,7 +1308,7 @@ let write_json ~path ~table_times ~acceptance ~scaling ~delta ~trace ~load
     "  \"command\": \"dune exec bench/main.exe -- tables --json --out \
      bench/BENCH_10.json --baseline bench/BENCH_9.json\",\n";
   (* How many hardware threads the host offers: the context needed to
-     read the par-* scaling rows (d2/d4 cannot beat d1 on one core). *)
+     read the par-scaling rows (d2/d4 cannot beat d1 on one core). *)
   p "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
   p "  \"tables_wall_secs\": {\n";
   let rec commas f = function
@@ -1407,14 +1320,9 @@ let write_json ~path ~table_times ~acceptance ~scaling ~delta ~trace ~load
   p "  },\n";
   p "  \"acceptance\": {\n";
   commas
-    (fun (name, m) ->
-      match m with
-      | `Time (secs, reps) ->
-          p "    \"%s\": { \"secs_per_call\": %.9e, \"calls\": %d }" name secs
-            reps
-      | `Skipped note ->
-          p "    \"%s\": { \"secs_per_call\": null, \"skipped\": %S }" name
-            note)
+    (fun (name, (secs, reps)) ->
+      p "    \"%s\": { \"secs_per_call\": %.9e, \"calls\": %d }" name secs
+        reps)
     acceptance;
   p "  },\n";
   p "  \"par_scaling\": {\n";
@@ -1527,10 +1435,10 @@ let write_json ~path ~table_times ~acceptance ~scaling ~delta ~trace ~load
          shrinking the speedup table. *)
       let speedups =
         List.map
-          (fun (name, m) ->
+          (fun (name, (secs, _)) ->
             ( name,
-              match (m, List.assoc_opt name base) with
-              | `Time (secs, _), Some b when secs > 0. -> Some (b /. secs)
+              match List.assoc_opt name base with
+              | Some b when secs > 0. -> Some (b /. secs)
               | _ -> None ))
           acceptance
       in
@@ -1592,11 +1500,8 @@ let () =
     let cases = acceptance_cases () in
     let acceptance = acceptance_metrics cases in
     List.iter
-      (fun (name, m) ->
-        match m with
-        | `Time (secs, reps) ->
-            Printf.printf "%-32s %.3e s/call  (%d calls)\n%!" name secs reps
-        | `Skipped note -> Printf.printf "%-32s skipped (%s)\n%!" name note)
+      (fun (name, (secs, reps)) ->
+        Printf.printf "%-32s %.3e s/call  (%d calls)\n%!" name secs reps)
       acceptance;
     let breakdown = phase_breakdowns cases in
     header "pool-size scaling curve (min/median/max secs per call)";
@@ -1630,8 +1535,8 @@ let () =
       @ List.concat_map
           (fun r ->
             [
-              (r.d_id ^ "-repair-edit", `Time (r.d_repair_per_edit, r.d_edits));
-              (r.d_id ^ "-cold-edit", `Time (r.d_cold_per_edit, r.d_edits));
+              (r.d_id ^ "-repair-edit", (r.d_repair_per_edit, r.d_edits));
+              (r.d_id ^ "-cold-edit", (r.d_cold_per_edit, r.d_edits));
             ])
           delta
     in

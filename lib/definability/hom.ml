@@ -558,8 +558,8 @@ let search_violating ?budget ?csp g s =
      exhaustion point at any pool size).  Deadlines are fine — a timeout
      is inherently wall-clock-dependent either way. *)
   (* [in_pool]: inside a pool task a nested batch would inline anyway,
-     so the speculative parallel shapes fall back to their sequential
-     form instead of paying fan-out overhead for no concurrency. *)
+     so the split falls back to the sequential search instead of paying
+     fan-out overhead for no concurrency. *)
   let par_ok =
     Par.Pool.size () > 1
     && (not (Par.Pool.in_pool ()))

@@ -104,46 +104,16 @@ let search ?budget ?(max_size = 200_000) g s =
   List.iter
     (fun a -> add (Relation.edge_relation g a) (Ree_term.Letter a))
     (Data_graph.alphabet g);
-  (* Below this snapshot size the compose products are cheaper than the
-     cost of fanning a batch out to the pool. *)
-  let par_threshold = 8 in
   while !remaining > 0 && (not (Queue.is_empty queue)) && not (budget_dead ())
   do
     let r, t = Queue.pop queue in
     add (Relation.restrict_eq ~value r) (Ree_term.EqTest t);
     add (Relation.restrict_neq ~value r) (Ree_term.NeqTest t);
-    let snapshot = !order in
-    if
-      Par.Pool.size () > 1
-      && (not (Par.Pool.in_pool ()))
-      && List.length snapshot >= par_threshold
-    then begin
-      (* Saturation step, parallel form.  The compose products are pure
-         functions of [r] and the snapshot (relations are immutable), so
-         they fan out across the domain pool; the [add]s — dedup,
-         fuel, coverage, queue order — then replay sequentially in the
-         exact order of the one-domain loop, keeping the closure
-         front, fuel consumption and witness choice byte-identical at
-         every pool size. *)
-      let pairs =
-        Par.Pool.map_list
-          (fun (x, tx) ->
-            ( (Relation.compose r x, Ree_term.Concat (t, tx)),
-              (Relation.compose x r, Ree_term.Concat (tx, t)) ))
-          snapshot
-      in
-      List.iter
-        (fun ((c1, t1), (c2, t2)) ->
-          add c1 t1;
-          add c2 t2)
-        pairs
-    end
-    else
-      List.iter
-        (fun (x, tx) ->
-          add (Relation.compose r x) (Ree_term.Concat (t, tx));
-          add (Relation.compose x r) (Ree_term.Concat (tx, t)))
-        snapshot
+    List.iter
+      (fun (x, tx) ->
+        add (Relation.compose r x) (Ree_term.Concat (t, tx));
+        add (Relation.compose x r) (Ree_term.Concat (tx, t)))
+      !order
   done;
   if budget_dead () then truncated := true;
   let witnesses_list =

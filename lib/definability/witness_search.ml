@@ -138,39 +138,21 @@ let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
         q')
       t
   in
-  (* Round-based BFS.  A FIFO queue explores tuples in level order, so
-     the loop can process the frontier one level (round) at a time in
-     two phases.  The expansion phase is pure — the safety test and the
-     per-block successor tuples read only the (already registered)
-     round's tuples — and is what fans out across the domain pool.  The
-     merge phase then replays every effect (coverage, visited
-     registration, fuel [take]s, the stop flags) sequentially in the
-     exact order the one-domain pop loop produced them, so verdicts,
-     witness paths and fuel consumption are byte-identical at every pool
-     size.  When the sequential order would have stopped mid-round
-     (coverage complete, budget dead), the merge stops at the same
-     tuple; the speculative expansions behind it are pure and discarded. *)
-  let compute id =
+  (* FIFO BFS over tuples.  A popped tuple that is safe covers the
+     (source, node) pairs it projects to; unless that completes the
+     target, its non-empty successor under every block is registered (one
+     unit of fuel each) and queued. *)
+  let queue = Queue.create () in
+  if take () then Queue.add (register t0 None) queue else truncated := true;
+  while (not (Queue.is_empty queue)) && (not !done_) && not (budget_dead ())
+  do
+    let id = Queue.pop queue in
     let t = (!tuples.(id)).Tuple_key.rows in
     let safe = ref true in
     for i = 0 to n - 1 do
       if not (Bitset.disjoint t.(i) bad.(i)) then safe := false
     done;
-    let children =
-      Array.map
-        (fun rows ->
-          let rows' = apply rows t in
-          if Array.exists (fun q -> not (Bitset.is_empty q)) rows' then
-            Some (Tuple_key.make rows')
-          else None)
-        succ_rows
-    in
-    (!safe, children)
-  in
-  let next = ref [] in
-  let process id (safe, children) =
-    if safe then begin
-      let t = (!tuples.(id)).Tuple_key.rows in
+    if !safe then begin
       for i = 0 to n - 1 do
         Bitset.iter
           (fun s ->
@@ -185,38 +167,15 @@ let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
     end;
     if not !done_ then
       Array.iteri
-        (fun bi child ->
-          match child with
-          | None -> ()
-          | Some t' ->
-              if not (Tuple_tbl.mem visited t') then
-                if !count >= max_tuples || not (take ()) then truncated := true
-                else next := register t' (Some (id, bi)) :: !next)
-        children
-  in
-  let frontier =
-    ref (if take () then [ register t0 None ] else (truncated := true; []))
-  in
-  while !frontier <> [] && (not !done_) && not (budget_dead ()) do
-    let items = Array.of_list !frontier in
-    next := [];
-    if Par.Pool.size () > 1 && (not (Par.Pool.in_pool ())) && Array.length items > 1
-    then begin
-      let results = Par.Pool.map compute items in
-      Array.iteri
-        (fun k r ->
-          if (not !done_) && not (budget_dead ()) then process items.(k) r)
-        results
-    end
-    else
-      (* One domain: expand lazily, item by item, exactly like the
-         original pop loop — no speculative work past a mid-round stop. *)
-      Array.iteri
-        (fun k id ->
-          if k = 0 || ((not !done_) && not (budget_dead ())) then
-            process id (compute id))
-        items;
-    frontier := List.rev !next
+        (fun bi rows ->
+          let rows' = apply rows t in
+          if Array.exists (fun q -> not (Bitset.is_empty q)) rows' then begin
+            let t' = Tuple_key.make rows' in
+            if not (Tuple_tbl.mem visited t') then
+              if !count >= max_tuples || not (take ()) then truncated := true
+              else Queue.add (register t' (Some (id, bi))) queue
+          end)
+        succ_rows
   done;
   (* Reconstruct block sequences for covered pairs. *)
   let path_of id =

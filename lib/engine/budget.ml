@@ -117,11 +117,11 @@ let flush_telemetry b =
 
    Under a shared budget, a parallel search calling [take] per node pays
    one contended fetch-and-add per step.  A [local] view amortizes this
-   for the *unbounded-fuel* case (the only case the parallel kernels
-   run in — finite fuel forces the deterministic sequential paths): it
-   claims [chunk] attempts from the shared word at once and hands them
-   out locally, probing the deadline once per claim so a deadline is
-   still honoured within ~[chunk] steps per domain.  With finite fuel
+   for the *unbounded-fuel* case (the only case [Hom]'s parallel root
+   split runs in — finite fuel forces the deterministic sequential
+   path): it claims [chunk] attempts from the shared word at once and
+   hands them out locally, probing the deadline once per claim so a
+   deadline is still honoured within ~[chunk] steps per domain.  With finite fuel
    the view degrades to plain [take], keeping step accounting exact. *)
 
 type local = { b : t; mutable credit : int }

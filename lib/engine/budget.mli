@@ -45,10 +45,11 @@ val fuel_limit : t -> int option
 (** The fuel bound, if any. *)
 
 val has_fuel_limit : t -> bool
-(** Whether the budget bounds steps at all.  The parallel kernels check
+(** Whether the budget bounds steps at all.  [Hom]'s violating-
+    homomorphism search, the one kernel with a parallel path, checks
     this to pick a strategy: finite fuel forces the deterministic
     sequential search order (so exhaustion hits the same step at any
-    pool size), unbounded fuel admits parallel exploration. *)
+    pool size), unbounded fuel admits its parallel root split. *)
 
 (** {2 Per-domain views}
 

@@ -1,7 +1,8 @@
-(** The deterministic hash stream under the whole fault plane: the same
-    multiply-xor-shift avalanche as {!Service.Client.retry_delay_s}, so
-    there is exactly one [Random]-free idiom to audit.  Pure and
-    stateless — a site's schedule depends only on (seed, site, ordinal). *)
+(** The deterministic hash stream under the whole fault plane, also
+    behind the connect-retry jitter of {!Service.Client.retry_delay_s}:
+    one multiply-xor-shift avalanche, so there is exactly one
+    [Random]-free idiom to audit.  Pure and stateless — a site's
+    schedule depends only on (seed, site, ordinal). *)
 
 val mix : int -> int -> int
 (** [mix salt n] — avalanche of the pair; non-negative. *)

@@ -22,7 +22,7 @@
     (increments from worker domains never lose updates), span nesting
     depth is tracked per-domain, each span records the domain and thread
     that produced it, and sink dispatch is serialized by one lock taken
-    only while telemetry is enabled — so the engine's parallel kernels
+    only while telemetry is enabled — so [Hom]'s parallel root split
     and [decide_batch] can run instrumented.  The Chrome trace sink
     emits one thread track per (domain, thread) lane, keeping concurrent
     span trees properly nested and the trace Perfetto-valid.

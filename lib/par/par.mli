@@ -23,8 +23,8 @@
     a parallel map is observationally a sequential map of a pure
     function — which tasks were stolen and in what order is invisible in
     the result.  Callers that need stronger guarantees (ordered effects,
-    deterministic fuel accounting) run the effectful merge sequentially
-    on the results — see [Witness_search] and [Ree_definability].
+    deterministic fuel accounting) merge the results sequentially in
+    input order — see [Hom.search_violating].
 
     {b Nesting.}  A [run]/[map]/[submit] issued from inside a pool
     worker executes sequentially inline on that worker (counted by the

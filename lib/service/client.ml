@@ -41,18 +41,14 @@ let transient = function
    attempt counter and a per-process salt — deterministic and pure (no
    [Random] state, nothing shared) so it is unit-testable and free on
    the hot path; distinct processes hash to distinct factors, which is
-   the only decorrelation a stampede needs. *)
+   the only decorrelation a stampede needs.  The hash is the fault
+   plane's [Fault.Rng] stream: one avalanche to audit, not two. *)
 let retry_delay_s ?salt ~attempt base_s =
   let salt = match salt with Some s -> s | None -> Unix.getpid () in
-  (* splitmix-style finalizer: a few shift-xor-multiply rounds give the
-     low bits avalanche even for consecutive (salt, attempt) inputs. *)
-  let h = (salt * 0x1000193) lxor ((attempt + 1) * 0x9E3779B9) in
-  let h = (h lxor (h lsr 16)) * 0x45d9f3b in
-  let h = (h lxor (h lsr 16)) * 0x45d9f3b in
-  let h = (h lxor (h lsr 16)) land 0x3FFFFFFF in
-  let unit = float_of_int h /. float_of_int 0x40000000 in
   (* factor in [0.75, 1.25) *)
-  let factor = 0.75 +. (0.5 *. unit) in
+  let factor =
+    0.75 +. (0.5 *. Fault.Rng.unit_float (Fault.Rng.mix salt attempt))
+  in
   base_s *. (2. ** float_of_int attempt) *. factor
 
 (* A per-request deadline is a socket receive/send timeout: the kernel

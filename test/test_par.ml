@@ -560,6 +560,108 @@ let test_exhaustion_determinism () =
         pool_sizes)
     all_langs
 
+(* ---------- golden exploration ---------- *)
+
+(* The agreement tests above compare pool sizes only with each other, so
+   a change to the exploration order that hit every size alike would pass
+   them.  These pin the exact kernel outputs — verdict, witness paths or
+   terms, exploration counts — at pool sizes 1 and 2, on the bench's
+   witness (seed 8) and REE closure (seed 15) instances and on Fig. 1,
+   including runs cut short by fuel or by the tuple cap. *)
+
+module Remd = Definability.Rem_definability
+module Reed = Definability.Ree_definability
+module WS = Definability.Witness_search
+
+let bench_instance ~seed ~n ~delta =
+  let g = Gen.random ~seed ~n ~delta ~labels:[ "a" ] ~density:0.45 () in
+  (g, Gen.random_reachable_relation ~seed g ~count:2)
+
+let pair_repr (u, v) = Printf.sprintf "%d,%d" u v
+
+let witness_repr (o : WS.outcome) =
+  let verdict =
+    match o.verdict with
+    | WS.Definable -> "definable"
+    | WS.Exhausted -> "exhausted"
+    | WS.Not_definable ps ->
+        "not_definable[" ^ String.concat ";" (List.map pair_repr ps) ^ "]"
+  in
+  Printf.sprintf "%s tuples=%d witnesses=%s" verdict o.tuples_explored
+    (String.concat ";"
+       (List.map
+          (fun (p, path) -> pair_repr p ^ ":" ^ String.concat "." path)
+          o.witnesses))
+
+let ree_repr (r : Reed.search) =
+  Printf.sprintf "closure=%d height=%d truncated=%b missing=%s witnesses=%s"
+    r.closure_size r.max_height r.truncated
+    (String.concat ";" (List.map pair_repr r.missing))
+    (String.concat ";"
+       (List.map
+          (fun (p, t) -> pair_repr p ^ ":" ^ Ree_lang.Ree_term.to_string t)
+          r.witnesses))
+
+(* (name, kernel call, pinned output). *)
+let golden_cases () =
+  let gw, sw = bench_instance ~seed:8 ~n:6 ~delta:2 in
+  let gr, sr = bench_instance ~seed:15 ~n:5 ~delta:2 in
+  let fuel n = Budget.create ~fuel:n () in
+  [
+    ( "rem seed 8",
+      (fun () -> witness_repr (Remd.search ~max_tuples:200_000 gw sw)),
+      "not_definable[0,2;5,2] tuples=28 witnesses=" );
+    ( "krem k=2 seed 8",
+      (fun () -> witness_repr (Remd.search_k gw ~k:2 sw)),
+      "not_definable[0,2;5,2] tuples=322 witnesses=" );
+    ( "krem k=2 seed 8, fuel 100",
+      (fun () ->
+        witness_repr (Remd.search_k ~budget:(fuel 100) gw ~k:2 sw)),
+      "exhausted tuples=100 witnesses=" );
+    ( "krem k=2 fig1 s2",
+      (fun () -> witness_repr (Remd.search_k fig1 ~k:2 s2)),
+      "definable tuples=236 witnesses="
+      ^ "0,3:@{r2} a[r1!= & r2!=].@{r1} a[r1!= & r2=].a[r1= & r2!=];"
+      ^ "6,9:@{r2} a[r1!= & r2!=].@{r1} a[r1!= & r2=].a[r1= & r2!=]" );
+    ( "krem k=2 fig1 s3",
+      (fun () -> witness_repr (Remd.search_k fig1 ~k:2 s3)),
+      "definable tuples=240 witnesses="
+      ^ "0,2:@{r2} a[r1!= & r2!=].@{r1} a[r1= & r2!=].a[r1!= & r2=]" );
+    ( "rem fig1 s3",
+      (fun () -> witness_repr (Remd.search fig1 s3)),
+      "definable tuples=24 witnesses=0,2:a!.a=1.a=0" );
+    ( "rem fig1 s3, max 5 tuples",
+      (fun () -> witness_repr (Remd.search ~max_tuples:5 fig1 s3)),
+      "exhausted tuples=5 witnesses=" );
+    ( "ree seed 15",
+      (fun () -> ree_repr (Reed.search ~max_size:2_000 gr sr)),
+      "closure=447 height=3 truncated=false missing=0,2;4,3 witnesses=" );
+    ( "ree seed 15, fuel 60",
+      (fun () -> ree_repr (Reed.search ~budget:(fuel 60) gr sr)),
+      "closure=60 height=1 truncated=true missing=0,2;4,3 witnesses=" );
+    ( "ree fig1 s1",
+      (fun () -> ree_repr (Reed.search fig1 s1)),
+      "closure=14 height=1 truncated=false missing= witnesses="
+      ^ "0,2:a!= (a a);0,3:a!= (a a);0,7:a!= (a a);0,8:a!= (a a);"
+      ^ "1,9:a!= (a a);4,2:a!= (a a);4,7:a!= (a a);5,3:a= (a a);"
+      ^ "5,8:a= (a a);6,9:a!= (a a)" );
+    ( "ree fig1 s3",
+      (fun () -> ree_repr (Reed.search fig1 s3)),
+      "closure=35 height=2 truncated=false missing= "
+      ^ "witnesses=0,2:(a!= (a= a))=" );
+  ]
+
+let test_golden_exploration () =
+  List.iter
+    (fun (name, f, expected) ->
+      List.iter
+        (fun size ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s at pool size %d" name size)
+            expected (with_pool_size size f))
+        [ 1; 2 ])
+    (golden_cases ())
+
 (* ---------- decide_batch ---------- *)
 
 let test_decide_batch_order_and_agreement () =
@@ -679,6 +781,8 @@ let () =
             test_decider_agreement;
           Alcotest.test_case "budget exhaustion" `Quick
             test_exhaustion_determinism;
+          Alcotest.test_case "golden exploration, pool sizes 1/2" `Quick
+            test_golden_exploration;
         ] );
       ( "batch",
         [

@@ -792,7 +792,32 @@ let test_client_retry_jitter () =
   (* Deterministic: same inputs, same delay. *)
   Alcotest.(check bool) "pure" true
     (Client.retry_delay_s ~salt:7 ~attempt:2 base
-    = Client.retry_delay_s ~salt:7 ~attempt:2 base)
+    = Client.retry_delay_s ~salt:7 ~attempt:2 base);
+  (* Pinned, not just bounded: exact delays as hex
+     floats, plus a digest over a salt × attempt sweep that includes
+     the extreme salts, so a rewrite of the hash must be byte-identical. *)
+  let delay ~salt ~attempt =
+    Printf.sprintf "%h" (Client.retry_delay_s ~salt ~attempt base)
+  in
+  List.iter
+    (fun (salt, attempt, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "salt %d attempt %d" salt attempt)
+        expected (delay ~salt ~attempt))
+    [
+      (1, 0, "0x1.690062d666667p-5");
+      (7, 2, "0x1.5187ca7cccccdp-3");
+      (-7, 3, "0x1.c11870bcccccdp-2");
+      (max_int, 6, "0x1.65d1b7c99999ap+1");
+    ];
+  let sweep =
+    List.concat_map
+      (fun salt -> List.init 7 (fun attempt -> delay ~salt ~attempt))
+      ([ min_int; -7; 0; max_int; 0x1000193 ] @ List.init 50 succ)
+  in
+  Alcotest.(check string)
+    "sweep digest" "0b9f8541da1968a35e7b058d0dcbb136"
+    (Digest.to_hex (Digest.string (String.concat "," sweep)))
 
 (* ---------- sharded serving end-to-end ---------- *)
 
