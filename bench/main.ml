@@ -1041,10 +1041,10 @@ let trace_replay () =
     Service.Client.connect ~retries:50 ~backoff_s:0.02
       (Service.Wire.Unix_sock rpath)
   in
-  (* The metrics plane stays on for the whole replay so the op.decide
-     histogram sees every request — the server-side percentiles below
-     measure the serving path as production would run it (plane on,
-     spans to a null sink). *)
+  (* The span plane stays on for the whole replay, so the serving path
+     is timed as production runs it (plane on, spans to a null sink).
+     Enabling also zeroes the histograms, which scopes the op.decide
+     percentiles below to this replay. *)
   Obs.enable [ Obs.Sink.null ];
   let lat = Array.make requests 0.0 in
   for i = 0 to requests - 1 do
@@ -1417,7 +1417,9 @@ let write_json ~path ~table_times ~acceptance ~scaling ~delta ~trace ~load
         phases;
       p "      },\n";
       p "      \"counters\": {\n";
-      commas (fun (c, v) -> p "        \"%s\": %d" c v) counters;
+      commas
+        (fun (c, v) -> p "        \"%s\": %d" c v)
+        (List.filter (fun (_, v) -> v <> 0) counters);
       p "      }\n";
       p "    }")
     breakdown;

@@ -645,11 +645,12 @@ let parse_shard s =
       | _ -> Error "shard must be I/N with 0 <= I < N")
 
 (* The long-running processes (serve, route) share one observability
-   setup: the aggregator sink is always live, [--trace] adds a
-   streaming Chrome trace tagged with the process name, and — when
-   tracing — SIGTERM/SIGINT are rerouted through [exit] so the at_exit
-   close writes the closing bracket: a killed server still leaves a
-   loadable trace. *)
+   setup: the span plane is always on — request-scoped sinks (streaming
+   progress, [--slow-ms] phase breakdowns) attach to it per request —
+   and [--trace] installs a streaming Chrome trace tagged with the
+   process name.  When tracing, SIGTERM/SIGINT are rerouted through
+   [exit] so the at_exit close writes the closing bracket: a killed
+   server still leaves a loadable trace. *)
 let enable_service_plane ~process trace =
   let tracer =
     Option.map
@@ -668,11 +669,9 @@ let enable_service_plane ~process trace =
       trace
   in
   Obs.enable
-    (Obs.Sink.Agg.sink (Obs.Sink.Agg.create ())
-    ::
     (match tracer with
     | Some t -> [ Obs.Sink.Trace.stream_sink t ]
-    | None -> []))
+    | None -> [])
 
 let slow_ms_arg =
   Arg.(

@@ -45,13 +45,17 @@ let rules_to_string rules =
        (fun r -> action_to_string r.action ^ "@" ^ Trigger.to_string r.trigger)
        rules)
 
+(* One proxied connection: the accepted client fd, the upstream fd, and
+   how many of its two pumps are still running. *)
+type conn = { client : Unix.file_descr; up : Unix.file_descr; pumps : int Atomic.t }
+
 type t = {
   listen_fd : Unix.file_descr;
   upstream : Unix.sockaddr;
   rules : rule list;
   seed : int;
   stop : bool Atomic.t;
-  live : (Unix.file_descr list ref * Mutex.t);
+  live : (conn list ref * Mutex.t);
   connections : int Atomic.t;
   lines_up : int Atomic.t;
   lines_down : int Atomic.t;
@@ -88,28 +92,42 @@ let create ?(seed = 0) ~listen ~upstream rules =
     corrupted = Atomic.make 0;
   }
 
-let track t fd =
-  let l, m = t.live in
-  Mutex.lock m;
-  l := fd :: !l;
-  Mutex.unlock m
+let shutdown_quiet fd =
+  try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
 let close_quiet fd =
-  (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  shutdown_quiet fd;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-(* Exactly-once close: an fd is closed by whoever removes it from the
-   live list — the two sibling pumps and [shutdown] race for that
-   right.  Without the guard, a second close of a stale fd number could
-   tear down an unrelated, freshly-accepted connection that the kernel
-   assigned the same number. *)
-let release t fd =
+(* Hang up both sides: a pump blocked reading either fd wakes with end
+   of file.  Shutting down frees no fd number, so it is safe from any
+   thread at any time. *)
+let hang_up c =
+  shutdown_quiet c.client;
+  shutdown_quiet c.up
+
+let track t c =
   let l, m = t.live in
   Mutex.lock m;
-  let mine = List.memq fd !l in
-  if mine then l := List.filter (fun f -> f != fd) !l;
+  l := c :: !l;
   Mutex.unlock m;
-  if mine then close_quiet fd
+  if Atomic.get t.stop then hang_up c
+
+(* A pump that stops hangs up its connection, which stops the sibling;
+   the last of the two closes the fds.  An fd number goes back to the
+   kernel only once no pump of this connection can read, write or close
+   it — otherwise a late pump could act on a fresh connection that the
+   kernel gave the same number. *)
+let finish t c =
+  hang_up c;
+  if Atomic.fetch_and_add c.pumps (-1) = 1 then begin
+    let l, m = t.live in
+    Mutex.lock m;
+    l := List.filter (fun x -> x != c) !l;
+    Mutex.unlock m;
+    (try Unix.close c.client with Unix.Unix_error _ -> ());
+    try Unix.close c.up with Unix.Unix_error _ -> ()
+  end
 
 exception Drop
 
@@ -117,14 +135,11 @@ exception Drop
    through the fault rules, write to [dst].  Rule counters are local to
    the (connection, direction), so the schedule depends only on line
    ordinals. *)
-let pump t ~dir src_fd dst_fd =
+let pump t ~dir c src_fd dst_fd =
   let dir_salt = t.seed lxor Rng.of_name dir in
   let counters = List.map (fun _ -> ref 0) t.rules in
   let lines = if dir = "up" then t.lines_up else t.lines_down in
   (try
-     (* Channel creation is inside the rescue: the sibling pump may have
-        already torn the connection down (reset), in which case
-        [of_descr] raises EBADF. *)
      let ic = Unix.in_channel_of_descr src_fd in
      let oc = Unix.out_channel_of_descr dst_fd in
      while not (Atomic.get t.stop) do
@@ -173,8 +188,7 @@ let pump t ~dir src_fd dst_fd =
      done
    with
   | End_of_file | Drop | Sys_error _ | Unix.Unix_error _ -> ());
-  release t src_fd;
-  release t dst_fd
+  finish t c
 
 let handle_conn t client_fd =
   match
@@ -185,12 +199,13 @@ let handle_conn t client_fd =
        raise e);
     up_fd
   with
-  | exception _ -> release t client_fd
+  | exception _ -> close_quiet client_fd
   | up_fd ->
-      track t up_fd;
+      let c = { client = client_fd; up = up_fd; pumps = Atomic.make 2 } in
+      track t c;
       Atomic.incr t.connections;
-      let _up = Thread.create (fun () -> pump t ~dir:"up" client_fd up_fd) () in
-      let _down = Thread.create (fun () -> pump t ~dir:"down" up_fd client_fd) () in
+      let _up = Thread.create (fun () -> pump t ~dir:"up" c client_fd up_fd) () in
+      let _down = Thread.create (fun () -> pump t ~dir:"down" c up_fd client_fd) () in
       ()
 
 let run t =
@@ -198,10 +213,7 @@ let run t =
      while not (Atomic.get t.stop) do
        let client_fd, _ = Unix.accept t.listen_fd in
        if Atomic.get t.stop then close_quiet client_fd
-       else begin
-         track t client_fd;
-         handle_conn t client_fd
-       end
+       else handle_conn t client_fd
      done
    with Unix.Unix_error _ | Sys_error _ -> ());
   close_quiet t.listen_fd
@@ -211,10 +223,9 @@ let shutdown t =
     close_quiet t.listen_fd;
     let l, m = t.live in
     Mutex.lock m;
-    let fds = !l in
-    l := [];
+    let conns = !l in
     Mutex.unlock m;
-    List.iter close_quiet fds
+    List.iter hang_up conns
   end
 
 let stats t =

@@ -14,9 +14,8 @@ type report = {
   wall_s : float;
 }
 
-(* The runner's own histograms; recording needs the telemetry plane on,
-   so {!run} enables it (with no sinks) for the duration when the
-   embedding process has not already. *)
+(* The runner's own histograms, reset at the start of each {!run}; the
+   rest of the process's telemetry is left alone. *)
 let h_decide = Obs.Histogram.make "load.op.decide"
 let h_batch = Obs.Histogram.make "load.op.batch"
 let h_delta = Obs.Histogram.make "load.op.delta"
@@ -352,15 +351,9 @@ let percentiles h =
     Some (n, p 50., p 99., p 100.)
 
 let run ?(progress = fun _ -> ()) ~seed ~addr (wl : Workload.t) =
-  let obs_was_on = Obs.enabled () in
-  if not obs_was_on then Obs.enable [];
   Obs.Histogram.reset h_decide;
   Obs.Histogram.reset h_batch;
   Obs.Histogram.reset h_delta;
-  let finish r =
-    if not obs_was_on then Obs.disable ();
-    r
-  in
   (* One up-front ping so "server not running" is an [Error], not a
      report full of transport noise. *)
   match
@@ -374,11 +367,8 @@ let run ?(progress = fun _ -> ()) ~seed ~addr (wl : Workload.t) =
     | Sys_error m -> Error m)
   with
   | Error msg ->
-      finish
-        (Error
-           (Printf.sprintf "cannot reach %s: %s"
-              (Wire.address_to_string addr)
-              msg))
+      Error
+        (Printf.sprintf "cannot reach %s: %s" (Wire.address_to_string addr) msg)
   | Ok _ ->
       let n_workers, pace_s =
         match wl.Workload.profile.Workload.mode with
@@ -418,23 +408,22 @@ let run ?(progress = fun _ -> ()) ~seed ~addr (wl : Workload.t) =
             Option.map (fun v -> (name, v)) (percentiles h))
           [ ("decide", h_decide); ("batch", h_batch); ("delta", h_delta) ]
       in
-      finish
-        (Ok
-           {
-             seed;
-             schedule_crc = wl.Workload.schedule_crc;
-             requests = Atomic.get st.n_requests;
-             ok = Atomic.get st.n_ok;
-             errors =
-               List.sort compare
-                 (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.errors []);
-             disallowed = List.rev st.disallowed;
-             verdicts =
-               List.sort compare
-                 (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.verdicts []);
-             latency_us;
-             wall_s;
-           })
+      Ok
+        {
+          seed;
+          schedule_crc = wl.Workload.schedule_crc;
+          requests = Atomic.get st.n_requests;
+          ok = Atomic.get st.n_ok;
+          errors =
+            List.sort compare
+              (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.errors []);
+          disallowed = List.rev st.disallowed;
+          verdicts =
+            List.sort compare
+              (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.verdicts []);
+          latency_us;
+          wall_s;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* Report JSON. *)

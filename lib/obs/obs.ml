@@ -1,7 +1,7 @@
-(* One global on/off flag guards every observation point; see the
-   overhead policy in the interface.  The flag is atomic so domains that
-   race an [enable]/[disable] read a well-defined value; the read is a
-   single load either way. *)
+(* One global on/off flag guards spans and sink dispatch; counters and
+   histograms always count (see the overhead policy in the interface).
+   The flag is atomic so domains that race an [enable]/[disable] read a
+   well-defined value; the read is a single load either way. *)
 let on = Atomic.make false
 
 let now = Unix.gettimeofday
@@ -71,8 +71,9 @@ end
 module Counter = struct
   (* Counts are atomic: subsystems increment from worker domains (cache
      builds, budget flushes of batched dispatches), and a plain mutable
-     field would lose updates.  Disabled cost is unchanged — one flag
-     load and a branch. *)
+     field would lose updates.  They count whether or not telemetry is
+     enabled, so every reader — [stats], [metrics], the bench — sees the
+     same tally. *)
   type t = { name : string; n : int Atomic.t }
 
   let registry : t list ref = ref []
@@ -82,8 +83,8 @@ module Counter = struct
     registry := c :: !registry;
     c
 
-  let incr c = if Atomic.get on then ignore (Atomic.fetch_and_add c.n 1)
-  let add c k = if Atomic.get on then ignore (Atomic.fetch_and_add c.n k)
+  let incr c = ignore (Atomic.fetch_and_add c.n 1)
+  let add c k = ignore (Atomic.fetch_and_add c.n k)
   let value c = Atomic.get c.n
   let name c = c.name
 
@@ -154,28 +155,21 @@ module Histogram = struct
       (1 lsl o) + ((s + 1) lsl (o - sub_bits)) - 1
 
   let record_ns h v =
-    if Atomic.get on then begin
-      let v = if v < 0 then 0 else v in
-      ignore (Atomic.fetch_and_add h.counts.(bucket_index v) 1);
-      ignore (Atomic.fetch_and_add h.sum_ns v)
-    end
+    let v = if v < 0 then 0 else v in
+    ignore (Atomic.fetch_and_add h.counts.(bucket_index v) 1);
+    ignore (Atomic.fetch_and_add h.sum_ns v)
 
   let record_s h s = record_ns h (int_of_float ((s *. 1e9) +. 0.5))
 
-  (* [time h f] runs [f] and records its wall time — without even a
-     clock syscall while telemetry is disabled. *)
   let time h f =
-    if Atomic.get on then begin
-      let t0 = now () in
-      match f () with
-      | v ->
-          record_s h (now () -. t0);
-          v
-      | exception e ->
-          record_s h (now () -. t0);
-          raise e
-    end
-    else f ()
+    let t0 = now () in
+    match f () with
+    | v ->
+        record_s h (now () -. t0);
+        v
+    | exception e ->
+        record_s h (now () -. t0);
+        raise e
 
   type snapshot = { counts : int array; sum_ns : int }
 

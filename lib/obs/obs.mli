@@ -8,15 +8,21 @@
     extraction), and {!Sink} (where span records go: an in-memory
     per-phase aggregator, a Chrome trace-event collector, or nothing).
 
-    {b Overhead policy.}  Telemetry is globally disabled by default.
-    Every observation point — {!Span.with_}, {!Counter.incr},
-    {!Histogram.record_ns} — is guarded by a single branch on one atomic
-    flag, so the instrumented hot paths ([Hom] cache probes, [Rem] memo
-    lookups, [Budget.take], [Store.Log] appends) pay one predictable
-    branch and nothing else when disabled; in particular no clock
-    syscalls, no allocation, and no sink dispatch.  Enabling is scoped
-    and explicit: {!enable} installs sinks and zeroes all counters and
-    histograms, {!disable} uninstalls them.
+    {b Overhead policy.}  Counters and histograms always count: an
+    increment is one atomic fetch-and-add, a histogram sample two, and
+    neither allocates.  That makes them the one counting path of the
+    process — the service's [stats] and [metrics] ops and the bench
+    read the same registry, and agree by construction.  (A gated
+    variant, one branch on the enabled flag per event, was measured on
+    the paper's deciders and saved nothing distinguishable from noise.)
+    Spans and sinks are what the enabled flag gates: while telemetry is
+    disabled (the default), {!Span.with_} is one predictable branch —
+    no clock syscalls, no allocation, no sink dispatch.  Enabling is
+    scoped and explicit: {!enable} installs sinks and zeroes all
+    counters and histograms, so a caller can scope a reading to one
+    region; {!disable} uninstalls the sinks.  [Budget.take] keeps its
+    own per-budget tally and flushes it to a counter once per decide,
+    so the hottest loop pays nothing per step.
 
     {b Domain safety.}  Counters and histogram buckets are atomic
     (increments from worker domains never lose updates), span nesting
@@ -73,10 +79,10 @@ module Counter : sig
       the registry is global and append-only). *)
 
   val incr : t -> unit
-  (** Add one.  No-op (one branch) while telemetry is disabled. *)
+  (** Add one (one atomic fetch-and-add), enabled or not. *)
 
   val add : t -> int -> unit
-  (** Add [n].  No-op while disabled. *)
+  (** Add [n], enabled or not. *)
 
   val value : t -> int
   val name : t -> string
@@ -111,16 +117,15 @@ module Histogram : sig
   val name : t -> string
 
   val record_ns : t -> int -> unit
-  (** Record one sample, in nanoseconds.  No-op (one branch) while
-      telemetry is disabled; negative samples clamp to 0. *)
+  (** Record one sample, in nanoseconds, enabled or not; negative
+      samples clamp to 0. *)
 
   val record_s : t -> float -> unit
   (** Record one sample, in seconds (converted to ns, rounded). *)
 
   val time : t -> (unit -> 'a) -> 'a
   (** [time h f] runs [f], recording its wall time — also on exceptional
-      exit.  While disabled this is exactly [f ()] after one branch: no
-      clock syscall is made. *)
+      exit.  Costs two clock reads around [f]. *)
 
   val n_buckets : int
 
@@ -252,9 +257,9 @@ val enable : Sink.t list -> unit
     observation on. *)
 
 val disable : unit -> unit
-(** Turn observation off and drop the sinks.  Counter and histogram
-    values survive until the next {!enable}, so they can be read after
-    the observed region. *)
+(** Turn span observation off and drop the sinks.  Counters and
+    histograms keep counting; their values are only zeroed by the next
+    {!enable}. *)
 
 val add_sink : Sink.t -> unit
 (** Install an additional sink without disturbing the ones already

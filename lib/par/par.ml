@@ -118,27 +118,27 @@ module Pool = struct
     submitted_s : float; (* submit timestamp; 0. for owner-drained runs *)
   }
 
-  (* ---- always-on tallies (server [stats] must work with obs off) ---- *)
+  (* ---- tallies: [Obs] counters (always counting), so [stats] and the
+     Prometheus exposition read the same numbers.  Only the queue-wait
+     maximum has no registry home and stays a local atomic. ---- *)
 
-  let s_push = Atomic.make 0
-  let s_pop = Atomic.make 0
-  let s_steal_ok = Atomic.make 0
-  let s_steal_fail = Atomic.make 0
-  let s_nested = Atomic.make 0
-  let s_submitted = Atomic.make 0
-  let s_rejected = Atomic.make 0
-  let s_qwait_count = Atomic.make 0
-  let s_qwait_total_ns = Atomic.make 0
-  let s_qwait_max_ns = Atomic.make 0
+  let counters : (string * Obs.Counter.t) list ref = ref []
 
-  (* Obs mirrors: no-ops while telemetry is disabled, picked up by the
-     Prometheus exposition automatically when it is not. *)
-  let c_steal_ok = Obs.Counter.make "steal.success"
-  let c_steal_fail = Obs.Counter.make "steal.fail"
-  let c_push = Obs.Counter.make "deque.push"
-  let c_pop = Obs.Counter.make "deque.pop"
-  let c_nested = Obs.Counter.make "pool.nested_inline"
+  let counter name =
+    let c = Obs.Counter.make ("pool." ^ name) in
+    counters := (name, c) :: !counters;
+    c
+
+  let c_push = counter "deque_push"
+  let c_pop = counter "deque_pop"
+  let c_steal_ok = counter "steal_success"
+  let c_steal_fail = counter "steal_fail"
+  let c_nested = counter "nested_inline"
+  let c_submitted = counter "submitted"
+  let c_rejected = counter "submit_rejected"
+
   let h_qwait = Obs.Histogram.make "pool.queue_wait"
+  let s_qwait_max_ns = Atomic.make 0
 
   let atomic_max a v =
     let rec go () =
@@ -222,8 +222,6 @@ module Pool = struct
          slot and record how long it waited. *)
       ignore (Atomic.fetch_and_add backlog (-1));
       let wait_ns = max 0 (int_of_float ((now_s () -. b.submitted_s) *. 1e9)) in
-      Atomic.incr s_qwait_count;
-      ignore (Atomic.fetch_and_add s_qwait_total_ns wait_ns);
       atomic_max s_qwait_max_ns wait_ns;
       Obs.Histogram.record_ns h_qwait wait_ns
     end;
@@ -250,13 +248,10 @@ module Pool = struct
         | Some b -> (
             match Deque.steal b.deque with
             | `Stolen task ->
-                Atomic.incr s_steal_ok;
                 Obs.Counter.incr c_steal_ok;
                 execute task;
                 stolen := true
-            | `Retry ->
-                Atomic.incr s_steal_fail;
-                Obs.Counter.incr c_steal_fail
+            | `Retry -> Obs.Counter.incr c_steal_fail
             | `Empty -> ()));
         incr i
       done;
@@ -344,7 +339,6 @@ module Pool = struct
         | exception e -> errors.(i) <- Some e
       in
       Deque.push batch.deque { run_t; batch };
-      Atomic.incr s_push;
       Obs.Counter.incr c_push
     done
 
@@ -361,7 +355,6 @@ module Pool = struct
     Array.map (function Some v -> v | None -> assert false (* all tasks ran *)) results
 
   let nested_inline tasks =
-    Atomic.incr s_nested;
     Obs.Counter.incr c_nested;
     run_seq tasks
 
@@ -386,7 +379,6 @@ module Pool = struct
             let rec drain () =
               match Deque.pop batch.deque with
               | Some t ->
-                  Atomic.incr s_pop;
                   Obs.Counter.incr c_pop;
                   execute t;
                   drain ()
@@ -415,7 +407,7 @@ module Pool = struct
           else reserve ()
         in
         if not (reserve ()) then begin
-          Atomic.incr s_rejected;
+          Obs.Counter.incr c_rejected;
           Error `Queue_full
         end
         else
@@ -425,7 +417,7 @@ module Pool = struct
               ignore (Atomic.fetch_and_add backlog (-n));
               Ok (run_seq tasks)
           | Some slot ->
-              ignore (Atomic.fetch_and_add s_submitted n);
+              Obs.Counter.add c_submitted n;
               let results : a option array = Array.make n None in
               let errors : exn option array = Array.make n None in
               push_tasks batch tasks results errors;
@@ -463,21 +455,18 @@ module Pool = struct
 
   let map_list ?chunk f l = Array.to_list (map ?chunk f (Array.of_list l))
 
+  let gauges () =
+    let q = Obs.Histogram.snapshot h_qwait in
+    [
+      ("size", size ());
+      ("workers", !spawned);
+      ("submit_backlog", Atomic.get backlog);
+      ("queue_wait_count", Obs.Histogram.total q);
+      ("queue_wait_us_total", q.Obs.Histogram.sum_ns / 1000);
+      ("queue_wait_us_max", Atomic.get s_qwait_max_ns / 1000);
+    ]
+
   let stats () =
     List.sort compare
-      [
-        ("size", size ());
-        ("workers", !spawned);
-        ("deque_push", Atomic.get s_push);
-        ("deque_pop", Atomic.get s_pop);
-        ("steal_success", Atomic.get s_steal_ok);
-        ("steal_fail", Atomic.get s_steal_fail);
-        ("nested_inline", Atomic.get s_nested);
-        ("submitted", Atomic.get s_submitted);
-        ("submit_rejected", Atomic.get s_rejected);
-        ("submit_backlog", Atomic.get backlog);
-        ("queue_wait_count", Atomic.get s_qwait_count);
-        ("queue_wait_us_total", Atomic.get s_qwait_total_ns / 1000);
-        ("queue_wait_us_max", Atomic.get s_qwait_max_ns / 1000);
-      ]
+      (gauges () @ List.map (fun (k, c) -> (k, Obs.Counter.value c)) !counters)
 end

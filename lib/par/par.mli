@@ -128,16 +128,21 @@ module Pool : sig
       submission).  Process-global, like the pool itself. *)
 
   val stats : unit -> (string * int) list
-  (** Always-on pool tallies, independent of whether the obs plane is
-      enabled: [size], [workers], [deque_push], [deque_pop] (owner-side
-      LIFO pops), [steal_success], [steal_fail] (lost CAS races),
-      [nested_inline], [submitted], [submit_rejected], [submit_backlog],
-      [queue_wait_count], [queue_wait_us_total], [queue_wait_us_max].
-      Sorted by key.  The same signals are mirrored into [Obs] counters
-      ([steal.success], [steal.fail], [deque.push], [deque.pop],
-      [pool.nested_inline]) and the [pool.queue_wait] histogram when
-      telemetry is enabled, so they also reach the Prometheus [metrics]
-      exposition. *)
+  (** Pool tallies, sorted by key: [size], [workers], [deque_push],
+      [deque_pop] (owner-side LIFO pops), [steal_success], [steal_fail]
+      (lost CAS races), [nested_inline], [submitted], [submit_rejected],
+      [submit_backlog], [queue_wait_count], [queue_wait_us_total],
+      [queue_wait_us_max].  The event counts are the [Obs] counters
+      [pool.<key>] and the queue-wait count and total come from the
+      [pool.queue_wait] histogram, so they read exactly what the
+      Prometheus [metrics] exposition reports — and, like every [Obs]
+      counter, they restart from zero at [Obs.enable].  Only
+      [queue_wait_us_max] is kept beside the registry. *)
+
+  val gauges : unit -> (string * int) list
+  (** The entries of {!stats} that are not [Obs] counters: [size],
+      [workers], [submit_backlog] and the three [queue_wait_*]
+      readings. *)
 
   val shutdown : unit -> unit
   (** Stop and join all worker domains.  Registered [at_exit] when the

@@ -27,9 +27,8 @@ type t = {
   verdicts : entry Lru.t;
   durable : Tier.t option;
   graphs : Data_graph.t Lru.t;
-  (* Service-level statistics are plain atomics, always on: the [stats]
-     protocol op must answer whether or not telemetry is enabled.  The
-     Obs counters below mirror the same events for traces/benches. *)
+  (* Per-cache event counts: the server renders them into its [stats]
+     and [metrics] snapshot as [service.cache.<key>]. *)
   verdict_hits : int Atomic.t;
   verdict_misses : int Atomic.t;
   store_hits : int Atomic.t;
@@ -42,15 +41,6 @@ type t = {
   repair_hits : int Atomic.t;
   repair_misses : int Atomic.t;
 }
-
-let c_hit = Obs.Counter.make "service.cache.verdict_hits"
-let c_miss = Obs.Counter.make "service.cache.verdict_misses"
-let c_store_hit = Obs.Counter.make "service.cache.store_hits"
-let c_store_miss = Obs.Counter.make "service.cache.store_misses"
-let c_reval_ok = Obs.Counter.make "service.cache.revalidation_ok"
-let c_reval_fail = Obs.Counter.make "service.cache.revalidation_failures"
-let c_graph_hit = Obs.Counter.make "service.cache.graph_hits"
-let c_graph_miss = Obs.Counter.make "service.cache.graph_misses"
 
 (* Tier latency histograms: a hit costs hashing + (maybe) revalidation,
    a miss costs a full decide — separating them is what lets the
@@ -83,10 +73,6 @@ let durable t = t.durable
 let close t =
   match t.durable with None -> () | Some d -> Tier.close d
 
-let bump a c =
-  ignore (Atomic.fetch_and_add a 1);
-  Obs.Counter.incr c
-
 (* Two canonically-equal graphs have identical index structure (node
    count, sorted edge list, value partition in index order), so a
    relation expressed over one is valid verbatim over the other — the
@@ -94,10 +80,10 @@ let bump a c =
 let intern_graph_keyed t gkey g =
   match Lru.find t.graphs gkey with
   | Some g0 ->
-      bump t.graph_hits c_graph_hit;
+      Atomic.incr t.graph_hits;
       g0
   | None ->
-      bump t.graph_misses c_graph_miss;
+      Atomic.incr t.graph_misses;
       Lru.put t.graphs gkey g;
       g
 
@@ -127,10 +113,10 @@ let find_durable t key =
   | Some d -> (
       match Obs.Span.with_ "service.cache.store_find" (fun () -> Tier.find d key) with
       | None ->
-          bump t.store_misses c_store_miss;
+          Atomic.incr t.store_misses;
           None
       | Some { Tier.lang; k; inst; outcome } ->
-          bump t.store_hits c_store_hit;
+          Atomic.incr t.store_hits;
           let e = { outcome; inst; lang; k } in
           Lru.put t.verdicts key e;
           Some e)
@@ -145,7 +131,7 @@ let drop t key =
   match t.durable with
   | None -> ()
   | Some d ->
-      ignore (Atomic.fetch_and_add t.store_drops 1);
+      Atomic.incr t.store_drops;
       Tier.remove d key
 
 let decide_keyed_inner t ?fuel ?deadline_s ?(k = 1) ~lang g s =
@@ -154,7 +140,7 @@ let decide_keyed_inner t ?fuel ?deadline_s ?(k = 1) ~lang g s =
     Content_hash.keys ~lang ~k g s
   in
   let serve_miss () =
-    bump t.verdict_misses c_miss;
+    Atomic.incr t.verdict_misses;
     let g = intern_graph_keyed t gkey g in
     match Instance.create g s with
     | Error _ as e -> e
@@ -182,28 +168,25 @@ let decide_keyed_inner t ?fuel ?deadline_s ?(k = 1) ~lang g s =
       in
       match revalidated with
       | Ok checked ->
-          if checked = `Checked then bump t.revalidation_ok c_reval_ok;
-          bump t.verdict_hits c_hit;
+          if checked = `Checked then Atomic.incr t.revalidation_ok;
+          Atomic.incr t.verdict_hits;
           Ok (outcome, `Hit, ikey)
       | Error _ ->
           (* A poisoned or stale entry: drop it (from both tiers) and
              recompute instead of serving a certificate that no longer
              checks. *)
-          bump t.revalidation_failures c_reval_fail;
+          Atomic.incr t.revalidation_failures;
           drop t ikey;
           serve_miss ())
 
 let decide_keyed t ?fuel ?deadline_s ?k ~lang g s =
-  if not (Obs.enabled ()) then decide_keyed_inner t ?fuel ?deadline_s ?k ~lang g s
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let r = decide_keyed_inner t ?fuel ?deadline_s ?k ~lang g s in
-    (match r with
-    | Ok (_, `Hit, _) -> Obs.Histogram.record_s h_hit (Unix.gettimeofday () -. t0)
-    | Ok (_, `Miss, _) -> Obs.Histogram.record_s h_miss (Unix.gettimeofday () -. t0)
-    | Error _ -> ());
-    r
-  end
+  let t0 = Unix.gettimeofday () in
+  let r = decide_keyed_inner t ?fuel ?deadline_s ?k ~lang g s in
+  (match r with
+  | Ok (_, `Hit, _) -> Obs.Histogram.record_s h_hit (Unix.gettimeofday () -. t0)
+  | Ok (_, `Miss, _) -> Obs.Histogram.record_s h_miss (Unix.gettimeofday () -. t0)
+  | Error _ -> ());
+  r
 
 let decide t ?fuel ?deadline_s ?k ~lang g s =
   match decide_keyed t ?fuel ?deadline_s ?k ~lang g s with
@@ -219,9 +202,9 @@ type delta_outcome = {
   repaired : bool;
 }
 
-(* Obs mirrors of the repair outcome live in [Engine.Delta]
-   (delta.repair_hit / delta.repair_miss); the atomics here are the
-   always-on copies the [stats] op reads. *)
+(* [Engine.Delta] counts repair outcomes process-wide
+   (delta.repair_hit / delta.repair_miss); the atomics here count them
+   for this cache. *)
 let apply_edit t ?fuel ?deadline_s ?(k = 1) ~lang ~key edit =
   match find_entry t key with
   | None ->
@@ -238,10 +221,7 @@ let apply_edit t ?fuel ?deadline_s ?(k = 1) ~lang ~key edit =
       with
       | Error _ as e -> e
       | Ok { Engine.Delta.inst = inst'; outcome; repaired } ->
-          ignore
-            (Atomic.fetch_and_add
-               (if repaired then t.repair_hits else t.repair_misses)
-               1);
+          Atomic.incr (if repaired then t.repair_hits else t.repair_misses);
           (* The chained key costs O(edit), not O(graph): the edited
              instance is addressable by the follow-up delta request
              without re-canonicalizing the graph. *)
@@ -277,28 +257,33 @@ let import t ~key raw =
       store t key { outcome; inst; lang; k };
       Ok ()
 
-let stats t =
-  let tier =
-    match t.durable with
-    | None -> []
-    | Some d -> List.map (fun (k, v) -> ("store_" ^ k, v)) (Tier.stats d)
-  in
-  List.sort compare
-    ([
-       ("verdict_hits", Atomic.get t.verdict_hits);
-       ("verdict_misses", Atomic.get t.verdict_misses);
-       ("store_hits", Atomic.get t.store_hits);
-       ("store_misses", Atomic.get t.store_misses);
-       ("store_drops", Atomic.get t.store_drops);
-       ("revalidation_ok", Atomic.get t.revalidation_ok);
-       ("revalidation_failures", Atomic.get t.revalidation_failures);
-       ("graph_hits", Atomic.get t.graph_hits);
-       ("graph_misses", Atomic.get t.graph_misses);
-       ("delta_repair_hits", Atomic.get t.repair_hits);
-       ("delta_repair_misses", Atomic.get t.repair_misses);
-       ("verdict_size", Lru.length t.verdicts);
-       ("graph_size", Lru.length t.graphs);
-       ("verdict_evictions", Lru.evictions t.verdicts);
-       ("graph_evictions", Lru.evictions t.graphs);
-     ]
-    @ tier)
+let counters t =
+  List.map
+    (fun (k, a) -> (k, Atomic.get a))
+    [
+      ("verdict_hits", t.verdict_hits);
+      ("verdict_misses", t.verdict_misses);
+      ("store_hits", t.store_hits);
+      ("store_misses", t.store_misses);
+      ("store_drops", t.store_drops);
+      ("revalidation_ok", t.revalidation_ok);
+      ("revalidation_failures", t.revalidation_failures);
+      ("graph_hits", t.graph_hits);
+      ("graph_misses", t.graph_misses);
+      ("delta_repair_hits", t.repair_hits);
+      ("delta_repair_misses", t.repair_misses);
+    ]
+  @ [
+      ("verdict_evictions", Lru.evictions t.verdicts);
+      ("graph_evictions", Lru.evictions t.graphs);
+    ]
+
+let gauges t =
+  ("verdict_size", Lru.length t.verdicts)
+  :: ("graph_size", Lru.length t.graphs)
+  ::
+  (match t.durable with
+  | None -> []
+  | Some d -> List.map (fun (k, v) -> ("store_" ^ k, v)) (Tier.stats d))
+
+let stats t = List.sort compare (counters t @ gauges t)

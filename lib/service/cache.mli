@@ -154,12 +154,18 @@ val import : t -> key:string -> string -> (unit, string) result
     or hostile transfer is refused, never stored. *)
 
 val stats : t -> (string * int) list
-(** Monotone counters and current sizes, sorted by name:
-    [verdict_hits], [verdict_misses], [store_hits], [store_misses],
-    [store_drops], [revalidation_ok], [revalidation_failures],
-    [graph_hits], [graph_misses], [delta_repair_hits],
-    [delta_repair_misses], [verdict_size], [graph_size],
-    [verdict_evictions], [graph_evictions] — plus, with a durable tier,
-    {!Tier.stats} prefixed [store_].  Counted internally (always on,
-    independent of [Obs]); the same events are mirrored to
-    [Obs.Counter]s for traces and bench breakdowns. *)
+(** {!counters} and {!gauges} together, sorted by name. *)
+
+val counters : t -> (string * int) list
+(** This cache's monotone event counts: [verdict_hits],
+    [verdict_misses], [store_hits], [store_misses], [store_drops],
+    [revalidation_ok], [revalidation_failures], [graph_hits],
+    [graph_misses], [delta_repair_hits], [delta_repair_misses],
+    [verdict_evictions], [graph_evictions].  Counted per cache, always
+    on; the server publishes them in its [stats] and [metrics] snapshot
+    as [service.cache.<key>] — there is no second copy in the [Obs]
+    registry. *)
+
+val gauges : t -> (string * int) list
+(** Current readings: [verdict_size], [graph_size] — plus, with a
+    durable tier, {!Tier.stats} prefixed [store_]. *)

@@ -180,7 +180,8 @@ let render ?(gauges = []) s =
     (fun (name, v) ->
       let n = prom_name name in
       line "# TYPE %s gauge\n" n;
-      line "%s %g\n" n v)
+      (* Integral readings (byte counts, timestamps) print exactly. *)
+      if Float.is_integer v then line "%s %.0f\n" n v else line "%s %g\n" n v)
     gauges;
   line "# TYPE defcheck_build_info gauge\n";
   line "defcheck_build_info{version=\"%s\",ocaml=\"%s\"} 1\n" version

@@ -47,8 +47,6 @@ type t = {
   stop : bool Atomic.t;
 }
 
-let c_forwarded = Obs.Counter.make "service.router.forwarded"
-
 let create ?(config = default_config) ~shards addr =
   if shards = [] then invalid_arg "Service.Router.create: no shards";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -191,7 +189,6 @@ let forward t conns name line =
       match Client.request_raw (get_conn t conns name) line with
       | Ok reply when Wire.crc_status reply = `Sealed_ok ->
           incr t.n_forwarded;
-          Obs.Counter.incr c_forwarded;
           Ok reply
       | Ok _ ->
           drop_conn conns name;
@@ -233,7 +230,6 @@ let forward_stream t conns name ~on_progress line =
     | Ok reply when Wire.crc_status reply = `Sealed_ok ->
         note_forward_ok t name;
         incr t.n_forwarded;
-        Obs.Counter.incr c_forwarded;
         Ok reply
     | Ok _ ->
         drop_conn conns name;

@@ -136,19 +136,12 @@ type t = {
   stop : bool Atomic.t;
 }
 
-let c_requests = Obs.Counter.make "service.requests"
-let c_overloaded = Obs.Counter.make "service.overloaded"
-
 (* Per-op request latency (admission wait included): the server-side
    view of what clients experience, which the offline bench can only
    approximate from outside the socket. *)
 let h_decide = Obs.Histogram.make "op.decide"
 let h_batch = Obs.Histogram.make "op.batch"
 let h_delta = Obs.Histogram.make "op.delta"
-
-let bump a c =
-  ignore (Atomic.fetch_and_add a 1);
-  Obs.Counter.incr c
 
 let incr a = ignore (Atomic.fetch_and_add a 1)
 
@@ -215,39 +208,70 @@ let cache t = t.cache_
 let config t = t.config
 let address t = t.addr
 
-let stats t =
-  let snap =
-    [
-      ("uptime_seconds", int_of_float (Unix.gettimeofday () -. t.started_s));
-      ("started_at", int_of_float t.started_s);
-      ("requests", Atomic.get t.n_requests);
-      ("decides", Atomic.get t.n_decides);
-      ("batches", Atomic.get t.n_batches);
-      ("deltas", Atomic.get t.n_deltas);
-      ("pings", Atomic.get t.n_pings);
-      ("stats_ops", Atomic.get t.n_stats);
-      ("sleeps", Atomic.get t.n_sleeps);
-      ("overloaded", Atomic.get t.n_overloaded);
-      ("errors", Atomic.get t.n_errors);
-      ("metrics_ops", Atomic.get t.n_metrics);
-      ("inflight", Admission.running t.gate);
-      ("queued", Admission.waiting t.gate);
-    ]
-    @ (match t.config.shard with
-      | None -> []
-      | Some (i, n) -> [ ("shard_index", i); ("shard_count", n) ])
-    @ List.map (fun (k, v) -> ("cache_" ^ k, v)) (Cache.stats t.cache_)
-    @ List.map (fun (k, v) -> ("pool_" ^ k, v)) (Par.Pool.stats ())
+(* The one observation snapshot both [stats] and [metrics] render: the
+   [Obs] registry (histograms and process-wide counters) plus this
+   server's own counts, added as counters named [service.<key>] and
+   [service.cache.<key>], and its current readings as gauges.  Each
+   event is counted in exactly one place, so the two ops agree by
+   construction. *)
+let observe t =
+  let obs = Metrics.capture () in
+  let own =
+    List.map
+      (fun (k, a) -> ("service." ^ k, Atomic.get a))
+      [
+        ("requests", t.n_requests);
+        ("decides", t.n_decides);
+        ("batches", t.n_batches);
+        ("deltas", t.n_deltas);
+        ("pings", t.n_pings);
+        ("stats_ops", t.n_stats);
+        ("sleeps", t.n_sleeps);
+        ("overloaded", t.n_overloaded);
+        ("errors", t.n_errors);
+        ("metrics_ops", t.n_metrics);
+      ]
+    @ List.map (fun (k, v) -> ("service.cache." ^ k, v)) (Cache.counters t.cache_)
     @
     if not (Fault.Failpoint.armed ()) then []
     else
       List.concat_map
         (fun (site, calls, fires) ->
-          let flat = String.map (fun c -> if c = '.' then '_' else c) site in
-          [ ("fault_" ^ flat ^ "_calls", calls); ("fault_" ^ flat ^ "_fires", fires) ])
+          [ ("fault." ^ site ^ ".calls", calls); ("fault." ^ site ^ ".fires", fires) ])
         (Fault.Failpoint.stats ())
   in
-  List.sort compare snap
+  let ints prefix = List.map (fun (k, v) -> (prefix ^ k, float_of_int v)) in
+  let gauges =
+    [
+      ("uptime_seconds", Unix.gettimeofday () -. t.started_s);
+      ("started_at", Float.trunc t.started_s);
+      ("inflight", float_of_int (Admission.running t.gate));
+      ("queued", float_of_int (Admission.waiting t.gate));
+    ]
+    @ (match t.config.shard with
+      | None -> []
+      | Some (i, n) -> ints "" [ ("shard_index", i); ("shard_count", n) ])
+    @ ints "service.cache." (Cache.gauges t.cache_)
+    @ ints "pool." (Par.Pool.gauges ())
+  in
+  ({ obs with Metrics.counters = List.sort compare (own @ obs.Metrics.counters) }, gauges)
+
+(* [stats] names: drop a leading [service.], then '.' becomes '_' —
+   [service.cache.verdict_hits] is [cache_verdict_hits],
+   [pool.steal_success] is [pool_steal_success]. *)
+let stat_key name =
+  let name =
+    if String.starts_with ~prefix:"service." name then
+      String.sub name 8 (String.length name - 8)
+    else name
+  in
+  String.map (fun c -> if c = '.' then '_' else c) name
+
+let stats t =
+  let snap, gauges = observe t in
+  List.sort compare
+    (List.map (fun (k, v) -> (stat_key k, v)) snap.Metrics.counters
+    @ List.map (fun (k, v) -> (stat_key k, int_of_float v)) gauges)
 
 (* ------------------------------------------------------------------ *)
 (* Responses.  Field values are pre-rendered JSON (Wire combinators).
@@ -269,7 +293,7 @@ let error_fields op msg =
   ]
 
 let overloaded_fields t op why =
-  bump t.n_overloaded c_overloaded;
+  incr t.n_overloaded;
   [
     ("op", Wire.json_string op);
     ("status", Wire.json_string "overloaded");
@@ -727,14 +751,7 @@ let shutdown t =
 
 let handle_metrics t oc =
   incr t.n_metrics;
-  let snap = Metrics.capture () in
-  let gauges =
-    [
-      ("uptime_seconds", Unix.gettimeofday () -. t.started_s);
-      ("inflight", float_of_int (Admission.running t.gate));
-      ("queued", float_of_int (Admission.waiting t.gate));
-    ]
-  in
+  let snap, gauges = observe t in
   respond oc
     (ok "metrics"
        [
@@ -777,7 +794,7 @@ let dispatch_request t oc ~env req =
   | Wire.Metrics -> handle_metrics t oc
 
 let handle_request t oc line =
-  bump t.n_requests c_requests;
+  incr t.n_requests;
   (* Sealed requests (load generator, chaos harness) are verified before
      parsing: a corrupted sealed line must fail typed rather than
      execute as a subtly different request.  Unsealed requests pass. *)

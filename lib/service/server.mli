@@ -44,9 +44,15 @@
     {b Observability.}  Each request runs under a root
     ["service.request"] span tagged with the wire envelope's [trace_id]
     (minted locally when absent and the plane is live); work-op
-    latencies land in the [op.decide]/[op.batch]/[op.delta] histograms;
-    the [metrics] op exposes every histogram and counter as Prometheus
-    text plus a mergeable raw snapshot ({!Metrics}); a [decide] with
+    latencies land in the [op.decide]/[op.batch]/[op.delta] histograms.
+    [stats] and [metrics] render one snapshot, built in one place: the
+    [Obs] registry (histograms and process-wide counters, which always
+    count) plus this server's own counts as counters named
+    [service.<key>] / [service.cache.<key>] and its current readings as
+    gauges.  [metrics] renders it as Prometheus text plus a mergeable
+    raw snapshot ({!Metrics}); [stats] flattens it with one naming rule
+    — drop a leading [service.], then ['.'] becomes ['_'] — so the two
+    ops agree counter for counter.  A [decide] with
     [stream] set receives newline-JSON progress frames before the final
     line; and [slow_ms] arms a one-line-per-slow-request JSON log.
     None of it changes verdict bytes — the plane fully on or fully off
@@ -139,6 +145,9 @@ val shutdown : t -> unit
     from any thread; returns once drained and the acceptor is stopping. *)
 
 val stats : t -> (string * int) list
-(** Server-level counters (requests by op, overload refusals,
-    [uptime_seconds], [started_at]) plus {!Cache.stats}, sorted by
-    name. *)
+(** The [stats] op's body, sorted by name: server counts (requests by
+    op, overload refusals, errors), [uptime_seconds], [started_at],
+    [inflight], [queued], the shard identity, {!Cache.stats} prefixed
+    [cache_], {!Par.Pool.stats} prefixed [pool_], every other [Obs]
+    counter (['.'] → ['_']), and armed failpoints' [fault_*] tallies.
+    Gauges are truncated to integers. *)

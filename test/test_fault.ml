@@ -248,6 +248,26 @@ let test_proxy_transparent () =
               Alcotest.(check int) "nothing corrupted" 0
                 (List.assoc "corrupted" s))))
 
+(* Connections closing while new ones open: the pumps of a finished
+   connection must never touch a later one, even when the kernel hands
+   the later one the same fd numbers.  Every fresh connection echoes
+   exactly its own line. *)
+let test_proxy_connection_churn () =
+  with_echo_upstream (fun upstream ->
+      with_proxy upstream [] (fun listen _p ->
+          for i = 1 to 300 do
+            let fd, ic, oc = dial listen in
+            Fun.protect
+              ~finally:(fun () -> try Unix.close fd with _ -> ())
+              (fun () ->
+                let l = Printf.sprintf "{\"n\":%d}" i in
+                send_line oc l;
+                match input_line ic with
+                | back -> Alcotest.(check string) "own line echoed" l back
+                | exception (End_of_file | Sys_error _) ->
+                    Alcotest.failf "connection %d dropped by the proxy" i)
+          done))
+
 let test_proxy_corrupt () =
   with_echo_upstream (fun upstream ->
       let rules =
@@ -332,6 +352,8 @@ let () =
         [
           Alcotest.test_case "rules roundtrip" `Quick test_proxy_rules_roundtrip;
           Alcotest.test_case "transparent" `Quick test_proxy_transparent;
+          Alcotest.test_case "connection churn" `Quick
+            test_proxy_connection_churn;
           Alcotest.test_case "corrupt" `Quick test_proxy_corrupt;
           Alcotest.test_case "reset" `Quick test_proxy_reset;
           Alcotest.test_case "determinism" `Quick test_proxy_determinism;

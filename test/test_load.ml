@@ -204,6 +204,24 @@ let test_check_catches_wrong_answer () =
       | Ok _ -> Alcotest.fail "schedule mismatch passed the check"
       | Error _ -> ())
 
+(* The runner's [load.op.*] histograms record without the telemetry
+   plane, so a run must leave the rest of the process's telemetry alone:
+   a counter bumped before the run keeps its value, and the plane stays
+   in whatever state it was. *)
+let test_runner_leaves_telemetry_alone () =
+  let c = Obs.Counter.make "test.load.before_run" in
+  Obs.Counter.add c 3;
+  let was_on = Obs.enabled () in
+  with_server (fun addr ->
+      let wl =
+        build_ok ~seed:29 { small_profile with Workload.requests = 20 }
+      in
+      let r = run_ok ~seed:29 addr wl in
+      Alcotest.(check bool) "latencies recorded" true
+        (List.exists (fun (_, (count, _, _, _)) -> count > 0) r.Runner.latency_us));
+  Alcotest.(check int) "counter survives the run" 3 (Obs.Counter.value c);
+  Alcotest.(check bool) "plane state unchanged" was_on (Obs.enabled ())
+
 let () =
   Alcotest.run "load"
     [
@@ -222,5 +240,7 @@ let () =
           Alcotest.test_case "report roundtrip" `Quick test_report_roundtrip;
           Alcotest.test_case "check catches wrong answers" `Quick
             test_check_catches_wrong_answer;
+          Alcotest.test_case "leaves process telemetry alone" `Quick
+            test_runner_leaves_telemetry_alone;
         ] );
     ]

@@ -95,7 +95,7 @@ let test_agg_phases () =
 let test_counter_semantics () =
   let c = Obs.Counter.make "test.counter" in
   Obs.Counter.incr c;
-  Alcotest.(check int) "disabled incr is a no-op" 0 (Obs.Counter.value c);
+  Alcotest.(check int) "disabled incr counts" 1 (Obs.Counter.value c);
   observed [] (fun () ->
       Obs.Counter.incr c;
       Obs.Counter.incr c;

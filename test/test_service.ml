@@ -1275,6 +1275,110 @@ let test_e2e_observation_free_service () =
   in
   Alcotest.(check string) "verdict bytes independent of the plane" off on
 
+(* [stats] and [metrics] render one snapshot.  The spec's naming rule —
+   drop a leading "service.", then '.' becomes '_' — maps every counter
+   of the [metrics] data to its [stats] key, and the two values must be
+   equal.  The request counts are left out: the two reads bump them
+   themselves. *)
+let stat_key name =
+  let name =
+    if String.starts_with ~prefix:"service." name then
+      String.sub name 8 (String.length name - 8)
+    else name
+  in
+  String.map (fun c -> if c = '.' then '_' else c) name
+
+let check_stats_metrics_agree conn =
+  let stats =
+    match Json.member "stats" (request_ok conn Wire.Stats) with
+    | Some (Json.Obj kvs) ->
+        List.filter_map
+          (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.to_int v))
+          kvs
+    | _ -> Alcotest.fail "no stats object"
+  in
+  let snap =
+    match
+      Option.bind (Json.member "data" (request_ok conn Wire.Metrics)) (fun d ->
+          Result.to_option (Metrics.of_json d))
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "metrics snapshot unparsable"
+  in
+  let compared =
+    List.filter_map
+      (fun (name, v) ->
+        let key = stat_key name in
+        if List.mem key [ "requests"; "stats_ops"; "metrics_ops" ] then None
+        else begin
+          Alcotest.(check (option int))
+            (Printf.sprintf "stats %s = metrics %s" key name)
+            (Some v) (List.assoc_opt key stats);
+          Some key
+        end)
+      snap.Metrics.counters
+  in
+  List.iter
+    (fun key ->
+      Alcotest.(check bool) (key ^ " is a compared counter") true
+        (List.mem key compared))
+    [
+      "decides"; "deltas"; "batches"; "cache_verdict_hits";
+      "cache_verdict_misses"; "cache_delta_repair_hits";
+      "cache_delta_repair_misses"; "pool_steal_success";
+      "pool_submit_rejected";
+    ];
+  let stat key = Option.value ~default:0 (List.assoc_opt key stats) in
+  Alcotest.(check bool) "the hit was counted" true
+    (stat "cache_verdict_hits" >= 1);
+  Alcotest.(check bool) "the delta was counted" true
+    (stat "cache_delta_repair_hits" + stat "cache_delta_repair_misses" >= 1)
+
+(* A decide that misses, the same decide again (a hit), a delta on its
+   digest and a batch. *)
+let drive_mixed conn =
+  let cold = request_ok conn (decide_req s2_text) in
+  ignore (request_ok conn (decide_req s2_text));
+  let digest =
+    match member_str "digest" cold with
+    | Some d -> d
+    | None -> Alcotest.fail "no digest in decide response"
+  in
+  ignore
+    (request_ok conn
+       (Wire.Delta
+          {
+            lang = "rem";
+            k = None;
+            fuel = None;
+            timeout_s = None;
+            digest;
+            edit = Wire.Add_node ("w9", 7);
+          }));
+  ignore
+    (request_ok conn
+       (Wire.Batch
+          {
+            lang = "rem";
+            k = None;
+            fuel = None;
+            timeout_s = None;
+            instances = [ s2_text; s3_text ];
+          }))
+
+let test_e2e_stats_metrics_agree () =
+  with_pool_size 2 (fun () ->
+      with_server (fun addr _srv ->
+          Client.with_connection addr (fun conn ->
+              drive_mixed conn;
+              check_stats_metrics_agree conn));
+      (* Through the router: its [stats] sums the shards' stats, its
+         [metrics] merges their snapshots, and the two still agree. *)
+      with_sharded_cluster (fun ~router:_ ~s0:_ ~s1:_ addr ->
+          Client.with_connection addr (fun conn ->
+              drive_mixed conn;
+              check_stats_metrics_agree conn)))
+
 let test_e2e_router_metrics_aggregation () =
   observed (fun () ->
       with_sharded_cluster ~store:false (fun ~router ~s0:_ ~s1:_ addr ->
@@ -1525,5 +1629,6 @@ let () =
            test_e2e_observation_free_service);
           ("router metrics aggregation", `Quick,
            test_e2e_router_metrics_aggregation);
+          ("stats and metrics agree", `Quick, test_e2e_stats_metrics_agree);
         ] );
     ]
