@@ -15,12 +15,28 @@ let default_config =
   { verdict_capacity = 1024; graph_capacity = 256; revalidate = true }
 
 (* The memory tier's entry: the instance is stored alongside the outcome
-   so a hit can revalidate the certificate without re-validating and
+   so the certificate can be checked without re-validating and
    re-packing the problem; it pins the interned graph (and its derived
    artifacts) for as long as the verdict lives, even past graph-store
    eviction.  [lang]/[k] ride along so the entry can be re-encoded for
-   the durable tier and for warm transfer without a reverse lookup. *)
-type entry = { outcome : Outcome.t; inst : Instance.t; lang : string; k : int }
+   the durable tier and for warm transfer without a reverse lookup.
+
+   [checked] records that the certificate passed [check_certificate] on
+   [inst].  Both are immutable, so the check is a pure function of the
+   entry and its result holds for every later hit: the first hit pays
+   for it, later hits skip it.  Set once, from [false] to [true], by
+   whichever domain ran the check; the atomic publishes it to the
+   handler threads that read it. *)
+type entry = {
+  outcome : Outcome.t;
+  inst : Instance.t;
+  lang : string;
+  k : int;
+  checked : bool Atomic.t;
+}
+
+let entry ?(checked = false) ~lang ~k inst outcome =
+  { outcome; inst; lang; k; checked = Atomic.make checked }
 
 type t = {
   config : config;
@@ -42,10 +58,10 @@ type t = {
   repair_misses : int Atomic.t;
 }
 
-(* Tier latency histograms: a hit costs hashing + (maybe) revalidation,
-   a miss costs a full decide — separating them is what lets the
-   metrics plane show the bimodal shape instead of one meaningless
-   average. *)
+(* Tier latency histograms: a hit costs hashing + (on an entry's first
+   hit) the certificate check, a miss costs a full decide — separating
+   them is what lets the metrics plane show the bimodal shape instead of
+   one meaningless average. *)
 let h_hit = Obs.Histogram.make "cache.hit"
 let h_miss = Obs.Histogram.make "cache.miss"
 
@@ -117,7 +133,8 @@ let find_durable t key =
           None
       | Some { Tier.lang; k; inst; outcome } ->
           Atomic.incr t.store_hits;
-          let e = { outcome; inst; lang; k } in
+          (* [Tier.find] decodes without the check: the first hit does it. *)
+          let e = entry ~lang ~k inst outcome in
           Lru.put t.verdicts key e;
           Some e)
 
@@ -134,64 +151,111 @@ let drop t key =
       Atomic.incr t.store_drops;
       Tier.remove d key
 
-let decide_keyed_inner t ?fuel ?deadline_s ?(k = 1) ~lang g s =
+(* The certificate an entry still owes its one check, if any (see
+   [entry]). *)
+let unchecked_certificate t e =
+  if t.config.revalidate && not (Atomic.get e.checked) then
+    Outcome.certificate e.outcome
+  else None
+
+let check_entry t e =
+  match unchecked_certificate t e with
+  | None -> Ok ()
+  | Some cert -> (
+      match
+        Obs.Span.with_ "service.cache.revalidate" (fun () ->
+            Outcome.check_certificate e.inst cert)
+      with
+      | Ok () ->
+          Atomic.incr t.revalidation_ok;
+          Atomic.set e.checked true;
+          Ok ()
+      | Error _ as err ->
+          Atomic.incr t.revalidation_failures;
+          err)
+
+(* What [probe] hands to [resolve]: the request and its keys, so the
+   back half neither re-parses nor re-hashes; the memory-tier entry that
+   still owes its check, if one was found; and the time the front half
+   took, so [cache.hit]/[cache.miss] time the cache's whole share of the
+   request however it was split. *)
+type pending = {
+  gkey : string;
+  ikey : string;
+  lang : string;
+  k : int;
+  g : Data_graph.t;
+  s : Tuple_relation.t;
+  found : entry option;
+  probe_s : float;
+}
+
+let probe t ?(k = 1) ~lang g s =
+  let t0 = Unix.gettimeofday () in
   let gkey, ikey =
     Obs.Span.with_ "service.cache.hash" @@ fun () ->
     Content_hash.keys ~lang ~k g s
   in
+  match Lru.find t.verdicts ikey with
+  | Some e when unchecked_certificate t e = None ->
+      Atomic.incr t.verdict_hits;
+      Obs.Histogram.record_s h_hit (Unix.gettimeofday () -. t0);
+      `Hit (e.outcome, ikey)
+  | found ->
+      `Pending
+        { gkey; ikey; lang; k; g; s; found; probe_s = Unix.gettimeofday () -. t0 }
+
+let resolve_inner t ?fuel ?deadline_s p =
   let serve_miss () =
     Atomic.incr t.verdict_misses;
-    let g = intern_graph_keyed t gkey g in
-    match Instance.create g s with
+    let g = intern_graph_keyed t p.gkey p.g in
+    match Instance.create g p.s with
     | Error _ as e -> e
     | Ok inst -> (
         let budget = Budget.create ?fuel ?deadline_s () in
-        match Registry.decide ~budget ~params:{ Registry.k } ~lang inst with
+        match
+          Registry.decide ~budget ~params:{ Registry.k = p.k } ~lang:p.lang inst
+        with
         | Error _ as e -> e
         | Ok outcome ->
-            if cacheable outcome then store t ikey { outcome; inst; lang; k };
-            Ok (outcome, `Miss, ikey))
+            if cacheable outcome then
+              store t p.ikey (entry ~lang:p.lang ~k:p.k inst outcome);
+            Ok (outcome, `Miss, p.ikey))
   in
-  match find_entry t ikey with
+  let found =
+    match p.found with Some _ as f -> f | None -> find_entry t p.ikey
+  in
+  match found with
   | None -> serve_miss ()
-  | Some { outcome; inst; _ } -> (
-      let revalidated =
-        if not t.config.revalidate then Ok `Unchecked
-        else
-          match Outcome.certificate outcome with
-          | None -> Ok `Unchecked
-          | Some cert -> (
-              Obs.Span.with_ "service.cache.revalidate" @@ fun () ->
-              match Outcome.check_certificate inst cert with
-              | Ok () -> Ok `Checked
-              | Error _ as e -> e)
-      in
-      match revalidated with
-      | Ok checked ->
-          if checked = `Checked then Atomic.incr t.revalidation_ok;
+  | Some e -> (
+      match check_entry t e with
+      | Ok () ->
           Atomic.incr t.verdict_hits;
-          Ok (outcome, `Hit, ikey)
+          Ok (e.outcome, `Hit, p.ikey)
       | Error _ ->
           (* A poisoned or stale entry: drop it (from both tiers) and
-             recompute instead of serving a certificate that no longer
-             checks. *)
-          Atomic.incr t.revalidation_failures;
-          drop t ikey;
+             recompute instead of serving a certificate that does not
+             check. *)
+          drop t p.ikey;
           serve_miss ())
 
-let decide_keyed t ?fuel ?deadline_s ?k ~lang g s =
+let resolve t ?fuel ?deadline_s p =
   let t0 = Unix.gettimeofday () in
-  let r = decide_keyed_inner t ?fuel ?deadline_s ?k ~lang g s in
+  let r = resolve_inner t ?fuel ?deadline_s p in
+  let elapsed () = p.probe_s +. (Unix.gettimeofday () -. t0) in
   (match r with
-  | Ok (_, `Hit, _) -> Obs.Histogram.record_s h_hit (Unix.gettimeofday () -. t0)
-  | Ok (_, `Miss, _) -> Obs.Histogram.record_s h_miss (Unix.gettimeofday () -. t0)
+  | Ok (_, `Hit, _) -> Obs.Histogram.record_s h_hit (elapsed ())
+  | Ok (_, `Miss, _) -> Obs.Histogram.record_s h_miss (elapsed ())
   | Error _ -> ());
   r
 
 let decide t ?fuel ?deadline_s ?k ~lang g s =
-  match decide_keyed t ?fuel ?deadline_s ?k ~lang g s with
-  | Error _ as e -> e
-  | Ok (outcome, origin, _key) -> Ok (outcome, origin)
+  match probe t ?k ~lang g s with
+  | `Hit (outcome, _key) -> Ok (outcome, `Hit)
+  | `Pending p ->
+      Result.map
+        (fun (outcome, origin, _key) -> (outcome, origin))
+        (resolve t ?fuel ?deadline_s p)
 
 let find_instance t key = Option.map (fun e -> e.inst) (find_entry t key)
 
@@ -226,8 +290,7 @@ let apply_edit t ?fuel ?deadline_s ?(k = 1) ~lang ~key edit =
              instance is addressable by the follow-up delta request
              without re-canonicalizing the graph. *)
           let key' = Content_hash.chain_key ~parent:key edit in
-          if cacheable outcome then
-            store t key' { outcome; inst = inst'; lang; k };
+          if cacheable outcome then store t key' (entry ~lang ~k inst' outcome);
           Ok { outcome; inst = inst'; key = key'; repaired })
 
 let insert t ?(k = 1) ~lang g s outcome =
@@ -235,7 +298,7 @@ let insert t ?(k = 1) ~lang g s outcome =
   match Instance.create g s with
   | Error _ as e -> e
   | Ok inst ->
-      store t (Content_hash.instance_key ~lang ~k g s) { outcome; inst; lang; k };
+      store t (Content_hash.instance_key ~lang ~k g s) (entry ~lang ~k inst outcome);
       Ok ()
 
 (* Warm transfer: the most recently used memory-tier entries, encoded in
@@ -254,7 +317,8 @@ let import t ~key raw =
   match Tier.decode ~check:true raw with
   | Error _ as e -> e
   | Ok { Tier.lang; k; inst; outcome } ->
-      store t key { outcome; inst; lang; k };
+      (* [decode ~check:true] has just checked the certificate. *)
+      store t key (entry ~checked:true ~lang ~k inst outcome);
       Ok ()
 
 let counters t =

@@ -13,12 +13,15 @@
       — are therefore built once and shared across requests, not once
       per connection.
     - a {b verdict store} (instance key → decided outcome + the instance
-      it was decided on).  A hit skips the decision procedure entirely;
-      if the cached verdict carries a certificate it is {e revalidated}
-      first ([Outcome.check_certificate] re-evaluates the query against
-      the instance — a code path disjoint from the search that produced
-      it), and an entry that fails revalidation is dropped and recomputed
-      rather than served.
+      it was decided on).  A hit skips the decision procedure entirely.
+      An entry whose verdict carries a certificate is {e checked once},
+      on its first hit: [Outcome.check_certificate] re-evaluates the
+      query against the entry's own stored instance, a code path
+      disjoint from the search that produced it.  A pass is remembered
+      in the entry and later hits skip the check; an entry that fails
+      is dropped and recomputed rather than served.  The check guards
+      against a wrong or corrupted stored verdict.  It does not guard
+      against key collisions: it never sees the requester's instance.
 
     Only [Definable] and [Not_definable] outcomes are stored: they are
     budget-independent facts about the instance.  [Unknown] outcomes
@@ -29,10 +32,11 @@
     {b Tiering.}  With a durable tier, every cacheable verdict is
     written through to the store, and a memory miss probes the store
     before deciding: a durable hit is promoted into the LRU (rebuilding
-    its instance from the stored text), revalidated exactly like a
-    memory hit, and reported as a [`Hit] — callers cannot tell which
-    tier served it, only the [store_hits] counter can.  An entry that
-    fails revalidation is dropped from {e both} tiers and recomputed.
+    its instance from the stored text) as an unchecked entry, checked
+    like any first memory hit, and reported as a [`Hit] — callers
+    cannot tell which tier served it, only the [store_hits] counter
+    can.  An entry that fails its check is dropped from {e both} tiers
+    and recomputed.
     Without a durable tier the cache behaves exactly as before.
 
     Node {e names} are not part of the cache key (see {!Content_hash}),
@@ -40,18 +44,27 @@
     with the requesting graph and the response shows the requester's
     names even on a hit.
 
+    {b Split lookup.}  {!probe} is the cheap front half of a decide:
+    hash and memory-tier lookup, nothing else.  It answers a hit on an
+    entry that owes no check; everything else comes back as a
+    {!pending} for {!resolve}, the back half, which runs the first-hit
+    check, probes the durable tier or decides.  The server runs
+    {!probe} on the connection's handler thread and only {!resolve} on
+    its domain pool.  {!decide} is the two halves in a row.
+
     Concurrency: safe to call from any number of threads.  The LRU
     stores take their own locks; the decision itself runs outside any
     lock.  Two racing requests for the same uncached instance may both
-    compute it (last store wins) — the cache trades duplicate work on
-    that rare race for never blocking a request behind another's
-    decide. *)
+    compute it (last store wins), and two racing first hits may both
+    check the same certificate — the cache trades duplicate work on
+    those rare races for never blocking a request behind another's. *)
 
 type config = {
   verdict_capacity : int;  (** max cached outcomes (default 1024) *)
   graph_capacity : int;  (** max interned graphs (default 256) *)
   revalidate : bool;
-      (** re-check certificates on every hit (default [true]) *)
+      (** check each cached certificate once, on the entry's first hit,
+          before serving it (default [true]); [false] never checks *)
 }
 
 val default_config : config
@@ -82,22 +95,43 @@ val decide :
     budget.  [Error] on an invalid instance or an unknown language.
     [k] is the [krem] register bound (default 1). *)
 
-val decide_keyed :
+type pending
+(** A request {!probe} could not answer, with its keys already
+    computed. *)
+
+val probe :
   t ->
-  ?fuel:int ->
-  ?deadline_s:float ->
   ?k:int ->
   lang:string ->
   Datagraph.Data_graph.t ->
   Datagraph.Tuple_relation.t ->
+  [ `Hit of Engine.Outcome.t * string | `Pending of pending ]
+(** The front half of {!decide}: hash the instance (under the
+    [service.cache.hash] span) and look it up in the memory tier only.
+    [`Hit (outcome, digest)] for an entry that owes no certificate
+    check — already checked, carrying no certificate, or [revalidate]
+    off; it counts a verdict hit and times [cache.hit].  Never checks a
+    certificate, reads the durable tier or decides, so it is cheap
+    enough for a thread that must not block. *)
+
+val resolve :
+  t ->
+  ?fuel:int ->
+  ?deadline_s:float ->
+  pending ->
   (Engine.Outcome.t * [ `Hit | `Miss ] * string, string) result
-(** Like {!decide}, also returning the instance digest under which the
+(** The back half of {!decide}: check a found entry's certificate
+    (once per entry), else probe the durable tier, else decide with a
+    fresh budget.  Also returns the instance digest under which the
     verdict is stored — the handle a client quotes back in a [delta]
     request to edit this instance incrementally. *)
 
 val find_instance : t -> string -> Engine.Instance.t option
 (** The instance stored under a digest, if still cached — the server
-    resolves edit node names against its graph before {!apply_edit}. *)
+    resolves edit node names against its graph before {!apply_edit}.
+    Runs no certificate check: the entry only feeds an edit, and
+    {!Engine.Delta.decide_delta} re-checks the stored certificate on
+    the edited instance or decides afresh. *)
 
 type delta_outcome = {
   outcome : Engine.Outcome.t;
@@ -138,9 +172,9 @@ val insert :
   Datagraph.Tuple_relation.t ->
   Engine.Outcome.t ->
   (unit, string) result
-(** Seed the verdict store directly (tests and warm-up tooling); the
-    outcome is stored unconditionally, so revalidation on the next hit
-    is what stands between a bogus seed and the caller. *)
+(** Seed the verdict store directly (tests and warm-up tooling).  The
+    outcome is stored unconditionally and unchecked, so the check on
+    its first hit is what stands between a bogus seed and the caller. *)
 
 val export_hot : t -> limit:int -> (string * string) list
 (** The (at most [limit]) most recently used memory-tier entries,
@@ -150,8 +184,9 @@ val export_hot : t -> limit:int -> (string * string) list
 val import : t -> key:string -> string -> (unit, string) result
 (** Admit one encoded record (from {!export_hot}, possibly via another
     process): decode, re-check its certificate, and write it through
-    both tiers.  [Error] on a record that does not validate — a corrupt
-    or hostile transfer is refused, never stored. *)
+    both tiers as an already-checked entry, so its first hit skips the
+    check.  [Error] on a record that does not validate — a corrupt or
+    hostile transfer is refused, never stored. *)
 
 val stats : t -> (string * int) list
 (** {!counters} and {!gauges} together, sorted by name. *)

@@ -20,10 +20,17 @@
       problem statement).
 
     Keys are MD5 digests (stdlib [Digest]) of the canonical bytes,
-    rendered as 32-char lowercase hex.  MD5's known collision attacks
-    are irrelevant here — the cache is a performance layer whose hits
-    are re-validated against the certificate, not a security boundary —
-    and 128 bits make accidental collisions out of reach. *)
+    rendered as 32-char lowercase hex.  The cache trusts a key match: a
+    hit serves the stored verdict without comparing instances (the
+    cache's certificate check re-evaluates the {e stored} instance, so
+    it cannot catch a collision).  That rests on 128 bits putting
+    accidental collisions out of reach; MD5's known collision attacks
+    need a party crafting both colliding inputs, and the cache is a
+    performance layer, not a security boundary.
+
+    The bytes are stable: durable stores and the router's ring
+    placement are keyed by these digests, and golden values pin them
+    in the tests. *)
 
 val graph_bytes : Datagraph.Data_graph.t -> string
 (** The canonical serialization of the graph alone (exposed for tests
@@ -69,8 +76,9 @@ val keys :
     Chained keys are {e not} content keys: the same edited content
     reached via different edit paths (or via a cold [decide]) gets a
     different key, costing a potential duplicate compute but never a
-    wrong answer (entries still carry their instance, and hits still
-    revalidate).  Chained keys also skip the data-value
+    wrong answer: a chained entry is only ever the base of the next
+    edit, and [Engine.Delta] re-checks its certificate on the edited
+    instance or decides afresh.  Chained keys also skip the data-value
     canonicalization of {!graph_bytes} — same tradeoff. *)
 
 val edit_bytes : Engine.Delta.graph_edit -> string

@@ -357,7 +357,7 @@ let handle_batch t conns oc ~env ~lang ~k ~fuel ~timeout_s ~instances =
           | Error _ -> None
         in
         (* Unparsable instances still go to a shard (the first), whose
-           decide_one renders the error object for them. *)
+           [decide_front] answers the parse error on the handler thread. *)
         let name =
           match digest with
           | Some d -> shard_of_digest t d

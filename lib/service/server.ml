@@ -333,31 +333,48 @@ let service_fields ~queue_wait_s ~wall_s =
         ("wall_s", Printf.sprintf "%.6f" wall_s);
       ] )
 
-(* One instance through the cache; shared by [decide] and [batch].
-   Returns pre-rendered response fields for the per-instance object,
-   plus the instance digest for the slow-request log. *)
-let decide_one t ~lang ~k ~fuel ~timeout_s text =
+(* One instance through the cache, in two halves.  [decide_front] is
+   what a [decide] runs on the handler thread: parse, hash and a
+   memory-tier lookup ([Cache.probe]).  It answers a hit on an entry
+   whose certificate is already checked; anything else — the entry's
+   first check, a durable-tier probe, a decide — comes back as a body for
+   [pool_exec], which reuses the parsed instance and its keys.
+   [decide_one] runs both halves in place, for a batch item, which is a
+   pool task from the start.  Both yield pre-rendered response fields
+   for the per-instance object, plus the instance digest for the
+   slow-request log. *)
+let render_one g ~lang (outcome, origin, key) =
+  ( [
+      ( "cache",
+        Wire.json_string (match origin with `Hit -> "hit" | `Miss -> "miss") );
+      ("digest", Wire.json_string key);
+      ("result", Wire.verdict_to_string g ~lang outcome);
+    ],
+    key )
+
+let decide_front t ~lang ~k ~fuel ~timeout_s text =
   match Graph_io.instance_of_string text with
-  | Error msg -> Error ("instance: " ^ msg)
+  | Error msg -> `Done (Error ("instance: " ^ msg))
   | Ok (g, s) -> (
-      let fuel, deadline_s = effective_budget t ~fuel ~timeout_s in
-      match Cache.decide_keyed t.cache_ ?fuel ?deadline_s ?k ~lang g s with
-      | Error msg -> Error msg
-      | Ok (outcome, origin, key) ->
-          Ok
-            ( [
-                ( "cache",
-                  Wire.json_string
-                    (match origin with `Hit -> "hit" | `Miss -> "miss") );
-                ("digest", Wire.json_string key);
-                ("result", Wire.verdict_to_string g ~lang outcome);
-              ],
-              key ))
+      match Cache.probe t.cache_ ?k ~lang g s with
+      | `Hit (outcome, key) -> `Done (Ok (render_one g ~lang (outcome, `Hit, key)))
+      | `Pending p ->
+          `Pool
+            (fun () ->
+              let fuel, deadline_s = effective_budget t ~fuel ~timeout_s in
+              Result.map (render_one g ~lang)
+                (Cache.resolve t.cache_ ?fuel ?deadline_s p)))
+
+let decide_one t ~lang ~k ~fuel ~timeout_s text =
+  match decide_front t ~lang ~k ~fuel ~timeout_s text with
+  | `Done r -> r
+  | `Pool body -> body ()
 
 (* Execute the body (or bodies — one per batch item) of an admitted
    work op on the shared domain pool.  Handler threads keep doing socket
-   I/O and admission; the compute runs on worker domains, so concurrent
-   requests and batch items fill idle domains instead of timeslicing one.
+   I/O, admission and the cheap front half of a decide; the compute runs
+   on worker domains, so concurrent requests and batch items fill idle
+   domains instead of timeslicing one.
    The request's trace context is captured here (on the handler thread)
    and re-established inside each task, so spans recorded by a worker
    domain still carry this request's trace id.  [`Pool_queue] means the
@@ -530,24 +547,29 @@ let handle_decide t oc ~env ~lang ~k ~fuel ~timeout_s text =
         ~finally:(fun () -> Admission.release t.gate)
         (fun () ->
           with_request_sinks t oc ~env (fun phases ->
-              match
-                pool_exec
-                  [| (fun () -> decide_one t ~lang ~k ~fuel ~timeout_s text) |]
-              with
+              let result =
+                match decide_front t ~lang ~k ~fuel ~timeout_s text with
+                | `Done r -> Ok r
+                | `Pool body -> (
+                    match pool_exec [| body |] with
+                    | Ok [| r |] -> Ok r
+                    | Ok _ -> assert false (* one body in, one result out *)
+                    | Error _ as e -> e)
+              in
+              match result with
               | Error `Pool_queue ->
                   respond oc (overloaded_fields t "decide" `Pool_queue)
-              | Ok [| Error msg |] ->
+              | Ok (Error msg) ->
                   incr t.n_errors;
                   respond oc (error_fields "decide" msg)
-              | Ok [| Ok (fields, digest) |] ->
+              | Ok (Ok (fields, digest)) ->
                   let wall_s = Unix.gettimeofday () -. t0 in
                   Obs.Histogram.record_s h_decide wall_s;
                   note_slow t ~op:"decide" ~digest:(Some digest) ~queue_wait_s
                     ~wall_s ~phases;
                   respond oc
                     (ok "decide"
-                       (fields @ [ service_fields ~queue_wait_s ~wall_s ]))
-              | Ok _ -> assert false (* one body in, one result out *)))
+                       (fields @ [ service_fields ~queue_wait_s ~wall_s ]))))
 
 let handle_batch t oc ~env ~lang ~k ~fuel ~timeout_s texts =
   incr t.n_batches;
@@ -560,13 +582,16 @@ let handle_batch t oc ~env ~lang ~k ~fuel ~timeout_s texts =
         ~finally:(fun () -> Admission.release t.gate)
         (fun () ->
           with_request_sinks t oc ~env (fun phases ->
-              (* One pool task per instance: batch items fill idle
-                 domains (batch-level parallelism is the easy published
-                 win — the kernels inside each decide decline to
-                 sub-split while on a worker).  A failed instance yields
-                 a per-item error object instead of failing the batch;
-                 results come back in input order, so the response is
-                 byte-identical to the sequential form. *)
+              (* One pool task per instance, each running the whole of
+                 its decide there, parse and hash included (on this
+                 thread they would run item after item before any task
+                 was submitted, which measured slower on batches of
+                 misses): batch items fill idle domains (batch-level parallelism is the easy
+                 published win — the kernels inside each decide decline
+                 to sub-split while on a worker).  A failed instance
+                 yields a per-item error object instead of failing the
+                 batch; results come back in input order, so the
+                 response is byte-identical to the sequential form. *)
               let bodies =
                 Array.of_list
                   (List.map

@@ -7,15 +7,20 @@
     [stats], [shutdown]) are answered directly by the handler thread and
     never queue behind work, so the server answers [ping] while a
     long-budget [decide] is in flight.  Work ops ([decide], [batch],
-    [delta], [sleep]) pass {e admission control} first; admitted
-    [decide]/[batch]/[delta] bodies are then {e submitted to the shared
-    [Par.Pool] domains} through its bounded submission queue
-    ([pool_queue_depth]) — handler threads only do socket I/O and
-    admission, so concurrent requests and batch items fill idle domains.
-    A body that cannot even be queued (pool backlog full) is answered
-    [overloaded]/[queue_full] like thread-queue saturation.  At pool
-    size 1 bodies run inline on the handler thread, the pre-pool
-    execution path, byte for byte.
+    [delta], [sleep]) pass {e admission control} first.  For a
+    [decide] the handler thread then parses, hashes and looks the
+    instance up in the memory tier ({!Cache.probe}); a hit on an entry
+    whose certificate is already checked is rendered and answered right
+    there.  Only work that checks a certificate, reads the durable tier
+    or decides is {e submitted to the shared [Par.Pool] domains} through
+    their bounded submission queue ([pool_queue_depth]), reusing the
+    parsed instance and its keys.  Every [batch] item (parse and hash
+    included) and every [delta] body is submitted whole, so concurrent
+    requests and batch items fill idle domains.  A body that cannot even be queued (pool
+    backlog full) is answered [overloaded]/[queue_full] like
+    thread-queue saturation.  At pool size 1 bodies run inline on the
+    handler thread.  Whichever way it is served, a verdict's [result]
+    block is byte-identical.
 
     {b Admission control.}  At most [max_inflight] work ops execute at
     once; up to [queue_depth] more wait (FIFO-ish, condition-variable
@@ -36,8 +41,8 @@
 
     {b Durable tier.}  With [store_dir] set, the cache writes every
     cacheable verdict through to a {!Store.Log} in that directory and
-    serves warm hits from it across restarts (certificate-revalidated,
-    byte-identical verdict blocks).  The [compact], [export] and
+    serves warm hits from it across restarts (certificate checked on
+    the first hit after promotion, byte-identical verdict blocks).  The [compact], [export] and
     [import] ops expose compaction and warm transfer to routers and
     operators; like the other control ops they bypass admission.
 

@@ -59,8 +59,9 @@ val open_ :
     recovery has had its certificate re-checked. *)
 
 val find : t -> string -> entry option
-(** Decoded without the certificate re-check — the memory tier above
-    revalidates on hit anyway, and one check per hit is enough. *)
+(** Decoded without the certificate re-check: the memory tier above
+    promotes the entry unchecked and checks it on its first hit, so
+    one check per promoted entry is enough. *)
 
 val find_raw : t -> string -> string option
 (** The encoded record, for [export]. *)

@@ -174,6 +174,49 @@ let test_hash_no_collisions () =
   done;
   Alcotest.(check int) "sample count" 10_000 !samples
 
+(* Durable stores and the router's ring placement are keyed by these
+   digests, so the canonical bytes must never drift: the expected values
+   are the digests every earlier release produced. *)
+let test_hash_golden () =
+  let pins =
+    [
+      ("instance rem S2", Content_hash.instance_key ~lang:"rem" ~k:1 fig1 s2,
+       "f4b3d64c71d1ba7c3812468ab3ceee12");
+      ("instance rem S3", Content_hash.instance_key ~lang:"rem" ~k:1 fig1 s3,
+       "44540f188693ff9508ea912bc5cceb7d");
+      ("instance ree S2", Content_hash.instance_key ~lang:"ree" ~k:1 fig1 s2,
+       "a3e1638daba10b6afe2348cb3194fe24");
+      ("instance ree S3", Content_hash.instance_key ~lang:"ree" ~k:1 fig1 s3,
+       "37a91d08c0ab57be18d25feba85a50ca");
+      ("graph fig1", Content_hash.graph_key fig1,
+       "a0061797157f1d782a80a273864a3491");
+      ( "keys rem S2",
+        (let gk, ik = Content_hash.keys ~lang:"rem" ~k:1 fig1 s2 in
+         gk ^ "/" ^ ik),
+        "a0061797157f1d782a80a273864a3491/f4b3d64c71d1ba7c3812468ab3ceee12" );
+      ( "chain",
+        Content_hash.chain_key
+          ~parent:(Content_hash.instance_key ~lang:"rem" ~k:1 fig1 s2)
+          (Engine.Delta.Add_edge (0, "a", 1)),
+        "ff52b4f2de4de33fe25f93944838a7ce" );
+    ]
+  in
+  List.iter (fun (what, got, want) -> Alcotest.(check string) what want got) pins;
+  (* The 10k instances of [test_hash_no_collisions], keys in order. *)
+  let b = Buffer.create (10_000 * 33) in
+  for seed = 0 to 4_999 do
+    let g = Gen.random ~seed ~n:6 ~delta:3 ~labels:[ "a"; "b" ] ~density:0.25 () in
+    List.iter
+      (fun count ->
+        let s = TR.of_binary (Gen.random_reachable_relation ~seed g ~count) in
+        Buffer.add_string b (key g s);
+        Buffer.add_char b '\n')
+      [ 1; 3 ]
+  done;
+  Alcotest.(check string) "MD5 over 10k sample keys"
+    "a57efbb41c567e21002b2ae3a9303a5f"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* ---------- Cache ---------- *)
 
 let cache_decide ?fuel ?k cache ~lang g s =
@@ -1451,6 +1494,145 @@ let test_e2e_router_metrics_aggregation () =
 
 (* ---------- idle timeout, client deadline, shard health ---------- *)
 
+(* ---------- the hit path ----------
+   A decide's checked hit is answered on the connection's handler
+   thread; the miss and an entry's first hit, which checks the
+   certificate, go through the domain pool, as does every batch item.
+   Each certificate is checked once. *)
+
+let stat conn name =
+  Option.value ~default:0 (pool_stat (request_ok conn Wire.Stats) name)
+
+let batch_req instances =
+  Wire.Batch { lang = "rem"; k = None; fuel = None; timeout_s = None; instances }
+
+let test_e2e_checked_hit_skips_pool () =
+  with_pool_size 2 (fun () ->
+      with_server (fun addr _srv ->
+          Client.with_connection addr (fun conn ->
+              let submitted req =
+                let before = stat conn "pool_submitted" in
+                let j = request_ok conn req in
+                (member_str "cache" j, stat conn "pool_submitted" - before)
+              in
+              let check_step what (cache, n) (cache', n') =
+                Alcotest.(check (option string)) (what ^ ": cache") cache' cache;
+                Alcotest.(check int) (what ^ ": pool submits") n' n
+              in
+              check_step "miss" (submitted (decide_req s2_text)) (Some "miss", 1);
+              check_step "first hit checks on the pool"
+                (submitted (decide_req s2_text)) (Some "hit", 1);
+              check_step "checked hit answered inline"
+                (submitted (decide_req s2_text)) (Some "hit", 0);
+              ignore (request_ok conn (decide_req s3_text));
+              ignore (request_ok conn (decide_req s3_text));
+              let before = stat conn "pool_submitted" in
+              let batch = request_ok conn (batch_req [ s2_text; s3_text ]) in
+              Alcotest.(check int) "batch items run on the pool, hits too" 2
+                (stat conn "pool_submitted" - before);
+              match Option.bind (Json.member "results" batch) Json.to_list with
+              | Some items ->
+                  Alcotest.(check (list (option string))) "both items hit"
+                    [ Some "hit"; Some "hit" ]
+                    (List.map (member_str "cache") items)
+              | None -> Alcotest.fail "no batch results")))
+
+let test_e2e_hit_path_byte_identical () =
+  (* Miss, pooled first hit and inline hit render the same result block
+     as a pool-size-1 server, for a definable and a non-definable
+     instance and for two languages. *)
+  let cases = [ ("rem", s2_text); ("rem", s3_text); ("ree", s2_text) ] in
+  let reference =
+    with_pool_size 1 (fun () ->
+        with_server (fun addr _srv ->
+            Client.with_connection addr (fun conn ->
+                List.map
+                  (fun (lang, text) ->
+                    result_block (request_ok conn (decide_req ~lang text)))
+                  cases)))
+  in
+  with_pool_size 2 (fun () ->
+      with_server (fun addr _srv ->
+          Client.with_connection addr (fun conn ->
+              List.iter2
+                (fun (lang, text) want ->
+                  List.iter
+                    (fun what ->
+                      let j = request_ok conn (decide_req ~lang text) in
+                      Alcotest.(check string)
+                        (Printf.sprintf "%s %s = pool size 1" lang what)
+                        want (result_block j))
+                    [ "miss"; "pooled hit"; "inline hit" ])
+                cases reference)))
+
+let test_e2e_seeded_entry_checked_once () =
+  let o_s2 =
+    match Cache.decide (Cache.create ()) ~lang:"rem" fig1 s2 with
+    | Ok (o, _) -> o
+    | Error msg -> Alcotest.fail msg
+  in
+  with_pool_size 2 (fun () ->
+      with_server (fun addr srv ->
+          (match Cache.insert (Server.cache srv) ~lang:"rem" fig1 s2 o_s2 with
+          | Ok () -> ()
+          | Error msg -> Alcotest.fail msg);
+          Client.with_connection addr (fun conn ->
+              let checks () =
+                stat conn "cache_revalidation_ok"
+                + stat conn "cache_revalidation_failures"
+              in
+              let before = checks () in
+              List.iter
+                (fun _ ->
+                  Alcotest.(check (option string)) "seeded entry hits"
+                    (Some "hit")
+                    (member_str "cache" (request_ok conn (decide_req s2_text))))
+                [ 1; 2 ];
+              Alcotest.(check int) "two hits, one check" 1 (checks () - before))))
+
+let test_e2e_inline_hit_observed () =
+  (* The inline path keeps the observations of the pooled one: the hit
+     is timed in [cache.hit] and its hash span reaches a streaming
+     client, while no check runs. *)
+  observed (fun () ->
+      with_pool_size 2 (fun () ->
+          with_server (fun addr _srv ->
+              Client.with_connection addr (fun conn ->
+                  ignore (request_ok conn (decide_req s2_text));
+                  ignore (request_ok conn (decide_req s2_text));
+                  let hits () =
+                    match
+                      Option.bind (Json.member "data" (request_ok conn Wire.Metrics))
+                        (fun d -> Result.to_option (Metrics.of_json d))
+                    with
+                    | Some snap -> (
+                        match List.assoc_opt "cache.hit" snap.Metrics.histograms with
+                        | Some h -> Obs.Histogram.total h
+                        | None -> 0)
+                    | None -> Alcotest.fail "metrics snapshot unparsable"
+                  in
+                  let before = hits () in
+                  let phases = ref [] in
+                  let envelope =
+                    { Wire.trace_id = Some "inline-1"; parent_span = None;
+                      stream = true }
+                  in
+                  (match
+                     Client.request_stream conn
+                       ~on_progress:(fun f ->
+                         match Json.parse f with
+                         | Ok j -> phases := member_str "phase" j :: !phases
+                         | Error m -> Alcotest.failf "unparsable frame: %s" m)
+                       (Wire.request_line ~envelope (decide_req s2_text))
+                   with
+                  | Ok _ -> ()
+                  | Error m -> Alcotest.failf "stream failed: %s" m);
+                  Alcotest.(check int) "inline hit timed" 1 (hits () - before);
+                  Alcotest.(check bool) "hash span streamed" true
+                    (List.mem (Some "service.cache.hash") !phases);
+                  Alcotest.(check bool) "no check on a checked hit" false
+                    (List.mem (Some "service.cache.revalidate") !phases)))))
+
 let test_e2e_idle_timeout () =
   let config =
     { Server.default_config with Server.idle_timeout_s = Some 0.2 }
@@ -1561,6 +1743,7 @@ let () =
           ("edge-order invariance", `Quick, test_hash_edge_order_invariance);
           ("sensitivity", `Quick, test_hash_sensitivity);
           ("no collisions in 10k samples", `Slow, test_hash_no_collisions);
+          ("golden digests", `Quick, test_hash_golden);
         ] );
       ( "cache",
         [
@@ -1630,5 +1813,14 @@ let () =
           ("router metrics aggregation", `Quick,
            test_e2e_router_metrics_aggregation);
           ("stats and metrics agree", `Quick, test_e2e_stats_metrics_agree);
+        ] );
+      ( "hit path",
+        [
+          ("checked hit skips the pool", `Quick, test_e2e_checked_hit_skips_pool);
+          ("result bytes across miss, pooled and inline hit", `Quick,
+           test_e2e_hit_path_byte_identical);
+          ("seeded entry checked once", `Quick,
+           test_e2e_seeded_entry_checked_once);
+          ("inline hit observed", `Quick, test_e2e_inline_hit_observed);
         ] );
     ]
