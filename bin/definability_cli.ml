@@ -684,9 +684,9 @@ let slow_ms_arg =
            its trace id, op, digest and phase breakdown.")
 
 let serve_cmd =
-  let run addr domains fuel timeout max_inflight queue_depth pool_queue
-      cache_size store fsync auto_compact shard trace slow_ms idle_timeout
-      failpoints fault_seed =
+  let run addr domains fuel timeout max_inflight queue_depth cache_size store
+      fsync auto_compact shard trace slow_ms idle_timeout failpoints
+      fault_seed =
     set_domains domains;
     let addr = address_of addr in
     (match Fault.Failpoint.arm ~seed:fault_seed failpoints with
@@ -694,11 +694,9 @@ let serve_cmd =
     | Error msg ->
         Printf.eprintf "error: --failpoints: %s\n" msg;
         exit 2);
-    if max_inflight < 1 || queue_depth < 0 || pool_queue < 0 || cache_size < 1
-    then begin
+    if max_inflight < 1 || queue_depth < 0 || cache_size < 1 then begin
       Printf.eprintf
-        "error: need --max-inflight >= 1, --queue-depth >= 0, --pool-queue \
-         >= 0, --cache-size >= 1\n";
+        "error: need --max-inflight >= 1, --queue-depth >= 0, --cache-size >= 1\n";
       exit 2
     end;
     let fsync =
@@ -722,7 +720,6 @@ let serve_cmd =
       {
         Service.Server.max_inflight;
         queue_depth;
-        pool_queue_depth = pool_queue;
         default_fuel = fuel;
         default_deadline_s = timeout;
         cache =
@@ -757,10 +754,9 @@ let serve_cmd =
         exit 2
     | server ->
         Printf.eprintf
-          "defcheck: serving on %s (domains %d, inflight <= %d, queue <= %d, \
-           pool-queue <= %d%s%s)\n%!"
+          "defcheck: serving on %s (domains %d, inflight <= %d, queue <= %d%s%s)\n%!"
           (Service.Wire.address_to_string addr)
-          (Par.Pool.size ()) max_inflight queue_depth pool_queue
+          (Par.Pool.size ()) max_inflight queue_depth
           (match config.store_dir with
           | Some dir -> Printf.sprintf ", store %s" dir
           | None -> "")
@@ -782,15 +778,6 @@ let serve_cmd =
           ~doc:
             "Work requests allowed to wait for a slot; beyond this the \
              server answers $(b,overloaded) immediately.")
-  in
-  let pool_queue_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "pool-queue" ] ~docv:"N"
-          ~doc:
-            "Backlog bound for work bodies submitted to the domain pool \
-             ($(b,--domains) > 1); an admitted request whose body cannot \
-             even be queued is answered $(b,overloaded).")
   in
   let cache_size_arg =
     Arg.(
@@ -853,8 +840,7 @@ let serve_cmd =
              $(b,after:K) or $(b,1-in:N) — e.g. \
              $(b,store.append.corrupt=1-in:50).  Sites: \
              $(b,store.append.corrupt), $(b,store.append.torn), \
-             $(b,store.fsync.skip), $(b,server.admit.overload), \
-             $(b,server.pool.reject).")
+             $(b,store.fsync.skip), $(b,server.admit.overload).")
   in
   let fault_seed_arg =
     Arg.(
@@ -873,9 +859,9 @@ let serve_cmd =
           requests that carry none.")
     Term.(
       const run $ address_arg $ domains_arg $ fuel_arg $ timeout_arg
-      $ max_inflight_arg $ queue_depth_arg $ pool_queue_arg $ cache_size_arg
-      $ store_arg $ fsync_arg $ auto_compact_arg $ shard_arg $ trace_arg
-      $ slow_ms_arg $ idle_timeout_arg $ failpoints_arg $ fault_seed_arg)
+      $ max_inflight_arg $ queue_depth_arg $ cache_size_arg $ store_arg
+      $ fsync_arg $ auto_compact_arg $ shard_arg $ trace_arg $ slow_ms_arg
+      $ idle_timeout_arg $ failpoints_arg $ fault_seed_arg)
 
 let retries_arg =
   Arg.(

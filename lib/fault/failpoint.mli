@@ -22,9 +22,7 @@
     - [store.fsync.skip] — silently skip a requested fsync (a lying
       disk; only observable across a crash).
     - [server.admit.overload] — shed an admission as if the gate were
-      full ([overloaded]/[queue_full] to the client).
-    - [server.pool.reject] — refuse a pool submission as if the
-      submission queue were full. *)
+      full ([overloaded]/[queue_full] to the client). *)
 
 val parse : string -> ((string * Trigger.t) list, string) result
 (** Spec grammar: comma-separated [NAME=TRIGGER], e.g.

@@ -135,7 +135,6 @@ module Pool = struct
   let c_steal_fail = counter "steal_fail"
   let c_nested = counter "nested_inline"
   let c_submitted = counter "submitted"
-  let c_rejected = counter "submit_rejected"
 
   let h_qwait = Obs.Histogram.make "pool.queue_wait"
   let s_qwait_max_ns = Atomic.make 0
@@ -199,13 +198,6 @@ module Pool = struct
   let in_pool_key = Domain.DLS.new_key (fun () -> false)
   let in_pool () = Domain.DLS.get in_pool_key
 
-  (* ---- submission backlog bound ---- *)
-
-  let submission_cap = Atomic.make 32
-  let submission_bound () = Atomic.get submission_cap
-  let set_submission_bound n = Atomic.set submission_cap (max 0 n)
-  let backlog = Atomic.make 0
-
   (* ---- task execution ---- *)
 
   let finish_task (b : batch) =
@@ -218,9 +210,7 @@ module Pool = struct
   let execute (t : task) =
     let b = t.batch in
     if b.submitted_s > 0. then begin
-      (* External submission: leaving the queue — release its backlog
-         slot and record how long it waited. *)
-      ignore (Atomic.fetch_and_add backlog (-1));
+      (* External submission: record how long it waited. *)
       let wait_ns = max 0 (int_of_float ((now_s () -. b.submitted_s) *. 1e9)) in
       atomic_max s_qwait_max_ns wait_ns;
       Obs.Histogram.record_ns h_qwait wait_ns
@@ -389,44 +379,27 @@ module Pool = struct
             unregister slot;
             collect results errors
 
-  let submit (type a) (tasks : (unit -> a) array) : (a array, [ `Queue_full ]) result =
+  let submit (type a) (tasks : (unit -> a) array) : a array =
     let n = Array.length tasks in
-    if n = 0 then Ok [||]
+    if n = 0 then [||]
     else
       let p = size () in
-      if p <= 1 then Ok (run_seq tasks) (* no workers: run on the caller *)
-      else if in_pool () then Ok (nested_inline tasks)
-      else begin
-        let cap = Atomic.get submission_cap in
-        (* Admit iff there is any room; an oversized batch may overshoot
-           the cap once rather than being unadmittable forever. *)
-        let rec reserve () =
-          let cur = Atomic.get backlog in
-          if cur >= cap then false
-          else if Atomic.compare_and_set backlog cur (cur + n) then true
-          else reserve ()
-        in
-        if not (reserve ()) then begin
-          Obs.Counter.incr c_rejected;
-          Error `Queue_full
-        end
-        else
-          let batch = make_batch ~submitted_s:(now_s ()) n in
-          match register batch with
-          | None ->
-              ignore (Atomic.fetch_and_add backlog (-n));
-              Ok (run_seq tasks)
-          | Some slot ->
-              Obs.Counter.add c_submitted n;
-              let results : a option array = Array.make n None in
-              let errors : exn option array = Array.make n None in
-              push_tasks batch tasks results errors;
-              ensure_workers p;
-              wake_all ();
-              wait_done batch;
-              unregister slot;
-              Ok (collect results errors)
-      end
+      if p <= 1 then run_seq tasks (* no workers: run on the caller *)
+      else if in_pool () then nested_inline tasks
+      else
+        let batch = make_batch ~submitted_s:(now_s ()) n in
+        match register batch with
+        | None -> run_seq tasks
+        | Some slot ->
+            Obs.Counter.add c_submitted n;
+            let results : a option array = Array.make n None in
+            let errors : exn option array = Array.make n None in
+            push_tasks batch tasks results errors;
+            ensure_workers p;
+            wake_all ();
+            wait_done batch;
+            unregister slot;
+            collect results errors
 
   let map ?chunk f arr =
     let n = Array.length arr in
@@ -460,7 +433,6 @@ module Pool = struct
     [
       ("size", size ());
       ("workers", !spawned);
-      ("submit_backlog", Atomic.get backlog);
       ("queue_wait_count", Obs.Histogram.total q);
       ("queue_wait_us_total", q.Obs.Histogram.sum_ns / 1000);
       ("queue_wait_us_max", Atomic.get s_qwait_max_ns / 1000);

@@ -105,44 +105,32 @@ module Pool : sig
   val map_list : ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
   (** [map] over a list (converted through an array; order preserved). *)
 
-  val submit : (unit -> 'a) array -> ('a array, [ `Queue_full ]) result
+  val submit : (unit -> 'a) array -> 'a array
   (** External submission path, used by the service layer: the batch is
       executed {e entirely by pool workers} — the calling (system)
       thread does not participate, it only blocks until completion, so
-      every task of an admitted submission is a steal.  Admission is
-      bounded: if the backlog of submitted-but-not-yet-started tasks has
-      reached [submission_bound] the call is rejected immediately with
-      [Error `Queue_full] (an oversized batch is admitted whenever there
-      is {e any} room, so a single submission larger than the bound is
-      not wedged forever; the backlog can thus transiently overshoot by
-      one batch).  At pool size 1 — no workers — the tasks run inline on
-      the caller and the bound does not apply.  Results, exceptions and
-      ordering follow the [run] contract.  Per-task queue wait (submit →
-      execution start) is recorded in the [pool.queue_wait] histogram. *)
-
-  val submission_bound : unit -> int
-  (** Current backlog bound for [submit] (default 32). *)
-
-  val set_submission_bound : int -> unit
-  (** Set the backlog bound (clamped at ≥ 0; [0] rejects every
-      submission).  Process-global, like the pool itself. *)
+      every task of a submission is a steal.  The pool itself does not
+      bound submissions: callers bound how much they submit at once (the
+      server's admission gate, [Server.Admission], does so for the
+      service).  At pool size 1 — no workers — the tasks run inline on
+      the caller.  Results, exceptions and ordering follow the [run]
+      contract.  Per-task queue wait (submit → execution start) is
+      recorded in the [pool.queue_wait] histogram. *)
 
   val stats : unit -> (string * int) list
   (** Pool tallies, sorted by key: [size], [workers], [deque_push],
       [deque_pop] (owner-side LIFO pops), [steal_success], [steal_fail]
-      (lost CAS races), [nested_inline], [submitted], [submit_rejected],
-      [submit_backlog], [queue_wait_count], [queue_wait_us_total],
-      [queue_wait_us_max].  The event counts are the [Obs] counters
-      [pool.<key>] and the queue-wait count and total come from the
-      [pool.queue_wait] histogram, so they read exactly what the
-      Prometheus [metrics] exposition reports — and, like every [Obs]
+      (lost CAS races), [nested_inline], [submitted], [queue_wait_count],
+      [queue_wait_us_total], [queue_wait_us_max].  The event counts are
+      the [Obs] counters [pool.<key>] and the queue-wait count and total
+      come from the [pool.queue_wait] histogram, so they read exactly
+      what the Prometheus [metrics] exposition reports — and, like every [Obs]
       counter, they restart from zero at [Obs.enable].  Only
       [queue_wait_us_max] is kept beside the registry. *)
 
   val gauges : unit -> (string * int) list
   (** The entries of {!stats} that are not [Obs] counters: [size],
-      [workers], [submit_backlog] and the three [queue_wait_*]
-      readings. *)
+      [workers] and the three [queue_wait_*] readings. *)
 
   val shutdown : unit -> unit
   (** Stop and join all worker domains.  Registered [at_exit] when the

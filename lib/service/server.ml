@@ -83,7 +83,6 @@ end
 type config = {
   max_inflight : int;
   queue_depth : int;
-  pool_queue_depth : int;
   default_fuel : int option;
   default_deadline_s : float option;
   cache : Cache.config;
@@ -101,7 +100,6 @@ let default_config =
   {
     max_inflight = 4;
     queue_depth = 16;
-    pool_queue_depth = 32;
     default_fuel = None;
     default_deadline_s = None;
     cache = Cache.default_config;
@@ -157,9 +155,6 @@ let create ?(config = default_config) addr =
      an execution lane.  [Obs] takes the hook rather than a [threads]
      dependency. *)
   Obs.set_thread_id_fn (fun () -> Thread.id (Thread.self ()));
-  (* Work-op bodies execute on the shared domain pool ([pool_exec]); its
-     submission backlog bound is process-global, like the pool itself. *)
-  Par.Pool.set_submission_bound config.pool_queue_depth;
   let listen_fd =
     match addr with
     | Wire.Unix_sock path ->
@@ -299,12 +294,7 @@ let overloaded_fields t op why =
     ("status", Wire.json_string "overloaded");
     ( "detail",
       Wire.json_string
-        (match why with
-        (* [`Pool_queue] — the admitted body could not even be queued on
-           the domain pool — answers like thread-queue saturation: to the
-           client both are "the server is full, back off and retry". *)
-        | `Overloaded | `Pool_queue -> "queue_full"
-        | `Draining -> "draining") );
+        (match why with `Overloaded -> "queue_full" | `Draining -> "draining") );
   ]
 
 (* Request fuel/deadline override the server defaults. *)
@@ -374,24 +364,15 @@ let decide_one t ~lang ~k ~fuel ~timeout_s text =
    work op on the shared domain pool.  Handler threads keep doing socket
    I/O, admission and the cheap front half of a decide; the compute runs
    on worker domains, so concurrent requests and batch items fill idle
-   domains instead of timeslicing one.
+   domains instead of timeslicing one.  The admission gate is the only
+   bound: at most [max_inflight] ops submit at once, one task per body.
    The request's trace context is captured here (on the handler thread)
    and re-established inside each task, so spans recorded by a worker
-   domain still carry this request's trace id.  [`Pool_queue] means the
-   pool's bounded submission queue was full — answered as overload.  At
-   pool size 1 there are no workers and the bodies run inline right
-   here, the byte-for-byte pre-pool execution path. *)
+   domain still carry this request's trace id.  At pool size 1 [submit]
+   runs the bodies inline right here. *)
 let pool_exec bodies =
-  if Fault.Failpoint.armed () && Fault.Failpoint.fire "server.pool.reject" then
-    Error `Pool_queue
-  else if Par.Pool.size () <= 1 then Ok (Array.map (fun f -> f ()) bodies)
-  else
-    let trace = Obs.Ctx.current () in
-    match
-      Par.Pool.submit (Array.map (fun f () -> Obs.Ctx.with_trace trace f) bodies)
-    with
-    | Ok r -> Ok r
-    | Error `Queue_full -> Error `Pool_queue
+  let trace = Obs.Ctx.current () in
+  Par.Pool.submit (Array.map (fun f () -> Obs.Ctx.with_trace trace f) bodies)
 
 (* ---------------------------------------------------------------- *)
 (* Request-scoped sinks.  Both filter on the request's trace id when one
@@ -549,20 +530,14 @@ let handle_decide t oc ~env ~lang ~k ~fuel ~timeout_s text =
           with_request_sinks t oc ~env (fun phases ->
               let result =
                 match decide_front t ~lang ~k ~fuel ~timeout_s text with
-                | `Done r -> Ok r
-                | `Pool body -> (
-                    match pool_exec [| body |] with
-                    | Ok [| r |] -> Ok r
-                    | Ok _ -> assert false (* one body in, one result out *)
-                    | Error _ as e -> e)
+                | `Done r -> r
+                | `Pool body -> (pool_exec [| body |]).(0)
               in
               match result with
-              | Error `Pool_queue ->
-                  respond oc (overloaded_fields t "decide" `Pool_queue)
-              | Ok (Error msg) ->
+              | Error msg ->
                   incr t.n_errors;
                   respond oc (error_fields "decide" msg)
-              | Ok (Ok (fields, digest)) ->
+              | Ok (fields, digest) ->
                   let wall_s = Unix.gettimeofday () -. t0 in
                   Obs.Histogram.record_s h_decide wall_s;
                   note_slow t ~op:"decide" ~digest:(Some digest) ~queue_wait_s
@@ -603,20 +578,16 @@ let handle_batch t oc ~env ~lang ~k ~fuel ~timeout_s texts =
                            Wire.json_obj [ ("error", Wire.json_string msg) ])
                      texts)
               in
-              match pool_exec bodies with
-              | Error `Pool_queue ->
-                  respond oc (overloaded_fields t "batch" `Pool_queue)
-              | Ok items ->
-                  let wall_s = Unix.gettimeofday () -. t0 in
-                  Obs.Histogram.record_s h_batch wall_s;
-                  note_slow t ~op:"batch" ~digest:None ~queue_wait_s ~wall_s
-                    ~phases;
-                  respond oc
-                    (ok "batch"
-                       [
-                         ("results", Wire.json_list (Array.to_list items));
-                         service_fields ~queue_wait_s ~wall_s;
-                       ])))
+              let items = pool_exec bodies in
+              let wall_s = Unix.gettimeofday () -. t0 in
+              Obs.Histogram.record_s h_batch wall_s;
+              note_slow t ~op:"batch" ~digest:None ~queue_wait_s ~wall_s ~phases;
+              respond oc
+                (ok "batch"
+                   [
+                     ("results", Wire.json_list (Array.to_list items));
+                     service_fields ~queue_wait_s ~wall_s;
+                   ])))
 
 let handle_delta t oc ~env ~lang ~k ~fuel ~timeout_s ~digest edit =
   incr t.n_deltas;
@@ -647,13 +618,11 @@ let handle_delta t oc ~env ~lang ~k ~fuel ~timeout_s ~digest edit =
                     Cache.apply_edit t.cache_ ?fuel ?deadline_s ?k ~lang
                       ~key:digest edit)
           in
-          match pool_exec [| body |] with
-          | Error `Pool_queue ->
-              respond oc (overloaded_fields t "delta" `Pool_queue)
-          | Ok [| Error msg |] ->
+          match (pool_exec [| body |]).(0) with
+          | Error msg ->
               incr t.n_errors;
               respond oc (error_fields "delta" msg)
-          | Ok [| Ok { Cache.outcome; inst; key; repaired } |] ->
+          | Ok { Cache.outcome; inst; key; repaired } ->
               let wall_s = Unix.gettimeofday () -. t0 in
               Obs.Histogram.record_s h_delta wall_s;
               note_slow t ~op:"delta" ~digest:(Some key) ~queue_wait_s ~wall_s
@@ -667,8 +636,7 @@ let handle_delta t oc ~env ~lang ~k ~fuel ~timeout_s ~digest edit =
                        Wire.verdict_to_string (Engine.Instance.graph inst) ~lang
                          outcome );
                      service_fields ~queue_wait_s ~wall_s;
-                   ])
-          | Ok _ -> assert false (* one body in, one result out *))
+                   ]))
 
 let handle_sleep t oc ~ms =
   incr t.n_sleeps;

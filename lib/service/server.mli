@@ -12,15 +12,14 @@
     instance up in the memory tier ({!Cache.probe}); a hit on an entry
     whose certificate is already checked is rendered and answered right
     there.  Only work that checks a certificate, reads the durable tier
-    or decides is {e submitted to the shared [Par.Pool] domains} through
-    their bounded submission queue ([pool_queue_depth]), reusing the
-    parsed instance and its keys.  Every [batch] item (parse and hash
-    included) and every [delta] body is submitted whole, so concurrent
-    requests and batch items fill idle domains.  A body that cannot even be queued (pool
-    backlog full) is answered [overloaded]/[queue_full] like
-    thread-queue saturation.  At pool size 1 bodies run inline on the
-    handler thread.  Whichever way it is served, a verdict's [result]
-    block is byte-identical.
+    or decides is {e submitted to the shared [Par.Pool] domains},
+    reusing the parsed instance and its keys.  Every [batch] item (parse
+    and hash included) and every [delta] body is submitted whole, so
+    concurrent requests and batch items fill idle domains.  Admission is
+    the one bound on that work: an admitted op's bodies are always
+    queued on the pool, never refused there.  At pool size 1 bodies run
+    inline on the handler thread.  Whichever way it is served, a
+    verdict's [result] block is byte-identical.
 
     {b Admission control.}  At most [max_inflight] work ops execute at
     once; up to [queue_depth] more wait (FIFO-ish, condition-variable
@@ -91,10 +90,6 @@ end
 type config = {
   max_inflight : int;  (** concurrent work ops (default 4) *)
   queue_depth : int;  (** waiting work ops beyond that (default 16) *)
-  pool_queue_depth : int;
-      (** backlog bound for work-op bodies submitted to the domain pool
-          (default 32); applied to [Par.Pool.set_submission_bound] at
-          {!create} — process-global, like the pool itself *)
   default_fuel : int option;  (** budget fuel when the request has none *)
   default_deadline_s : float option;
       (** budget deadline when the request has none *)

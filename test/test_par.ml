@@ -286,7 +286,7 @@ let qcheck_skewed_deciders =
                   = reference)
                 [ 1; 2 ])
             pool_sizes)
-        [ "krem"; "ree"; "rem" ])
+        [ "krem"; "ree"; "rem"; "ucrdpq" ])
 
 (* ---------- submission path and nesting signals ---------- *)
 
@@ -299,51 +299,30 @@ let test_in_pool () =
   Alcotest.(check bool) "not in pool on the main domain" false (Pool.in_pool ());
   with_pool_size 4 @@ fun () ->
   match Pool.submit [| (fun () -> Pool.in_pool ()) |] with
-  | Ok [| inside |] ->
+  | [| inside |] ->
       Alcotest.(check bool) "submitted tasks run on pool workers" true inside;
       Alcotest.(check bool) "still not in pool after" false (Pool.in_pool ())
-  | Ok _ | Error `Queue_full -> Alcotest.fail "submit of one task failed"
+  | _ -> Alcotest.fail "submit of one task failed"
 
 let test_submit_order_and_errors () =
   with_pool_size 4 @@ fun () ->
-  (match Pool.submit (Array.init 50 (fun i () -> i * 3)) with
-  | Ok r ->
-      Alcotest.(check (array int))
-        "submit returns results in input order"
-        (Array.init 50 (fun i -> i * 3))
-        r
-  | Error `Queue_full -> Alcotest.fail "unexpected Queue_full");
+  Alcotest.(check (array int))
+    "submit returns results in input order"
+    (Array.init 50 (fun i -> i * 3))
+    (Pool.submit (Array.init 50 (fun i () -> i * 3)));
   match
     Pool.submit
       (Array.init 16 (fun i () ->
            if i mod 7 = 3 then failwith (Printf.sprintf "sub %d" i) else i))
   with
-  | Ok _ -> Alcotest.fail "expected an exception"
-  | Error `Queue_full -> Alcotest.fail "unexpected Queue_full"
+  | _ -> Alcotest.fail "expected an exception"
   | exception Failure msg ->
       Alcotest.(check string) "lowest-index exception wins" "sub 3" msg
-
-let test_submit_queue_full () =
-  with_pool_size 4 @@ fun () ->
-  let saved = Pool.submission_bound () in
-  Fun.protect ~finally:(fun () -> Pool.set_submission_bound saved) @@ fun () ->
-  Pool.set_submission_bound 0;
-  (match Pool.submit [| (fun () -> ()) |] with
-  | Error `Queue_full -> ()
-  | Ok _ -> Alcotest.fail "bound 0 must reject every submission");
-  let rejected = pool_stat "submit_rejected" in
-  Alcotest.(check bool) "rejection counted" true (rejected >= 1);
-  Pool.set_submission_bound 32;
-  match Pool.submit [| (fun () -> 41 + 1) |] with
-  | Ok [| v |] -> Alcotest.(check int) "admitted again after raising bound" 42 v
-  | Ok _ | Error `Queue_full -> Alcotest.fail "submit after restore failed"
 
 let test_submit_counts_steals () =
   with_pool_size 4 @@ fun () ->
   let before = pool_stat "steal_success" in
-  (match Pool.submit (Array.init 8 (fun i () -> burn (i + 1))) with
-  | Ok _ -> ()
-  | Error `Queue_full -> Alcotest.fail "unexpected Queue_full");
+  ignore (Pool.submit (Array.init 8 (fun i () -> burn (i + 1))));
   let after = pool_stat "steal_success" in
   (* The submitter does not participate, so every one of the 8 tasks was
      necessarily a steal. *)
@@ -365,8 +344,8 @@ let test_nested_inline_counter () =
            Array.fold_left ( + ) 0 (Pool.run (Array.init 5 (fun i () -> i))))
        |]
    with
-  | Ok [| v |] -> Alcotest.(check int) "nested run computes" 10 v
-  | Ok _ | Error `Queue_full -> Alcotest.fail "submit failed");
+  | [| v |] -> Alcotest.(check int) "nested run computes" 10 v
+  | _ -> Alcotest.fail "submit failed");
   let after = pool_stat "nested_inline" in
   Alcotest.(check bool)
     (Printf.sprintf "nested_inline grew (before %d, after %d)" before after)
@@ -375,10 +354,10 @@ let test_nested_inline_counter () =
 let test_submit_size_one_inline () =
   with_pool_size 1 @@ fun () ->
   match Pool.submit [| (fun () -> Pool.in_pool ()) |] with
-  | Ok [| inside |] ->
+  | [| inside |] ->
       Alcotest.(check bool) "size 1 runs submissions inline on the caller"
         false inside
-  | Ok _ | Error `Queue_full -> Alcotest.fail "size-1 submit must not reject"
+  | _ -> Alcotest.fail "size-1 submit returned the wrong shape"
 
 (* ---------- budget domain-safety ---------- *)
 
@@ -757,7 +736,6 @@ let () =
           Alcotest.test_case "in_pool signal" `Quick test_in_pool;
           Alcotest.test_case "order and errors" `Quick
             test_submit_order_and_errors;
-          Alcotest.test_case "bounded backlog" `Quick test_submit_queue_full;
           Alcotest.test_case "all submitted tasks are steals" `Quick
             test_submit_counts_steals;
           Alcotest.test_case "nested inline is counted" `Quick
