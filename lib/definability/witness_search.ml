@@ -1,5 +1,4 @@
 module Relation = Datagraph.Relation
-module Bitset = Util.Bitset
 
 let log_src =
   Logs.Src.create "definability.witness_search"
@@ -28,36 +27,37 @@ type outcome = {
   tuples_explored : int;
 }
 
-(* A tuple ⟨Q_1,…,Q_n⟩ is an array of bitsets: entry i holds source i's
-   reachable state set, packed one state per bit.  Applying a block is a
-   union of precomputed successor rows over the set bits; the safety
-   check is a word-parallel disjointness test against a precomputed
-   "unsafe states" mask per source. *)
+(* Representation.  A state set is [w = ⌈num_states / Sys.int_size⌉]
+   native words, one state per bit, and a tuple ⟨Q_1,…,Q_n⟩ is its n
+   sets laid end to end: [stride = n·w] ints.  Every registered tuple
+   lives in one growable word arena, and its id is its registration
+   index, so tuple [id] occupies [arena.(id·stride) …] and the FIFO
+   queue is just a cursor over ids.
 
-module Tuple_key = struct
-  (* The hash is computed once at construction and stored: every tuple
-     is hashed at least twice (membership probe, then insertion), and
-     hashing the full bit pattern is the dominant cost of the BFS loop.
-     [Hashtbl.hash] would not do: it samples only a bounded prefix of
-     the structure, which collides catastrophically on wide tuples. *)
-  type t = { h : int; rows : Bitset.t array }
+   A successor is built in one reused scratch buffer: per source, the
+   union of the block's precomputed successor rows over the set bits.
+   It is hashed and probed there and copied into the arena only when it
+   is new, so a successor that was already seen allocates nothing.
 
-  let equal a b =
-    a.h = b.h
-    && Array.length a.rows = Array.length b.rows
-    &&
-    let rec go i = i < 0 || (Bitset.equal a.rows.(i) b.rows.(i) && go (i - 1)) in
-    go (Array.length a.rows - 1)
+   The visited set is an open-addressing table of ids with linear
+   probing; each tuple's hash is stored beside it, so probing compares
+   full words only on a hash match and growing the table never rehashes
+   a tuple.  The hash mixes every word of the tuple ([Hashtbl.hash]
+   would not do: it samples only a bounded prefix of the structure,
+   which collides catastrophically on wide tuples). *)
 
-  let hash k = k.h
+let bpw = Sys.int_size
 
-  let make rows =
-    let h = ref 0 in
-    Array.iter (fun b -> h := (!h * 1000003) lxor Bitset.hash b) rows;
-    { h = !h land max_int; rows }
-end
+(* Index of the single set bit of [b]. *)
+let bit_index b = Util.Bitset.popcount (b - 1)
 
-module Tuple_tbl = Hashtbl.Make (Tuple_key)
+let hash_words a =
+  let h = ref (Array.length a) in
+  for k = 0 to Array.length a - 1 do
+    let x = (!h lxor Array.unsafe_get a k) * 0x2545F4914F6CDD1D in
+    h := x lxor (x lsr 29)
+  done;
+  !h land max_int
 
 let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
   Obs.Span.with_ "witness.search" @@ fun () ->
@@ -74,131 +74,223 @@ let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
     match budget with None -> false | Some b -> Engine.Budget.exhausted b
   in
   let ns = cfg.num_states in
-  (* Deterministic successor rows per block, built once: row s is the
-     successor set of state s. *)
+  let w = (ns + bpw - 1) / bpw in
+  let stride = n * w in
+  let in_range s =
+    if s < 0 || s >= ns then
+      invalid_arg (Printf.sprintf "Witness_search.search: state %d out of range" s)
+  in
+  let set_bit a off s =
+    let j = off + (s / bpw) in
+    a.(j) <- a.(j) lor (1 lsl (s mod bpw))
+  in
+  (* Deterministic successor rows per block, built once: words
+     [s·w … s·w + w - 1] of a block's table are state s's successors. *)
   let succ_rows =
     Array.map
       (fun block ->
-        Array.init ns (fun s ->
-            let row = Bitset.create ns in
-            List.iter (fun s' -> Bitset.add row s') (block.succ s);
-            row))
+        let rows = Array.make (ns * w) 0 in
+        for s = 0 to ns - 1 do
+          List.iter
+            (fun s' ->
+              in_range s';
+              set_bit rows (s * w) s')
+            (block.succ s)
+        done;
+        rows)
       cfg.blocks
   in
-  (* States whose projection leaves the target, per source. *)
-  let bad =
-    Array.init n (fun i ->
-        let b = Bitset.create ns in
-        for s = 0 to ns - 1 do
-          if not (Relation.mem target i (cfg.node_of s)) then Bitset.add b s
-        done;
-        b)
-  in
-  (* Initial tuple. *)
-  let t0 =
-    Tuple_key.make
-      (Array.init n (fun i ->
-           let b = Bitset.create ns in
-           Bitset.add b cfg.sources.(i);
-           b))
-  in
-  (* Visited table and BFS bookkeeping.  Parents record (parent id, block
-     index) for witness reconstruction. *)
-  let visited : int Tuple_tbl.t = Tuple_tbl.create 4096 in
-  let parents : (int * int) option array ref = ref (Array.make 1024 None) in
-  let tuples : Tuple_key.t array ref = ref (Array.make 1024 t0) in
+  let node_of = Array.init ns cfg.node_of in
+  (* States whose projection leaves the target: words [i·w …] mask
+     source i's. *)
+  let bad = Array.make stride 0 in
+  for i = 0 to n - 1 do
+    for s = 0 to ns - 1 do
+      if not (Relation.mem target i node_of.(s)) then set_bit bad (i * w) s
+    done
+  done;
+  (* The arena and its per-tuple columns: hash, parent id (-1 for the
+     root) and the block that led from the parent.  They start small and
+     double: a large first allocation would go straight to the major
+     heap on every search, however short. *)
+  let cap = ref 64 in
+  let arena = ref (Array.make (!cap * stride) 0) in
+  let hashes = ref (Array.make !cap 0) in
+  let parent = ref (Array.make !cap (-1)) in
+  let via = ref (Array.make !cap (-1)) in
   let count = ref 0 in
-  let register t parent =
-    let id = !count in
-    incr count;
-    if id >= Array.length !parents then begin
-      let parents' = Array.make (2 * id) None in
-      Array.blit !parents 0 parents' 0 id;
-      parents := parents';
-      let tuples' = Array.make (2 * id) t0 in
-      Array.blit !tuples 0 tuples' 0 id;
-      tuples := tuples'
-    end;
-    !parents.(id) <- parent;
-    !tuples.(id) <- t;
-    Tuple_tbl.add visited t id;
-    id
+  (* Visited table: slots hold ids, -1 when free; kept under half full. *)
+  let table = ref (Array.make (2 * !cap) (-1)) in
+  let grow_columns () =
+    let cap' = 2 * !cap in
+    let extend a len fill =
+      let a' = Array.make len fill in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
+    arena := extend !arena (cap' * stride) 0;
+    hashes := extend !hashes cap' 0;
+    parent := extend !parent cap' (-1);
+    via := extend !via cap' (-1);
+    cap := cap'
   in
-  let covered = ref (Relation.empty n) in
-  let witness_ids : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
+  let rehash () =
+    let t = Array.make (2 * Array.length !table) (-1) in
+    let mask = Array.length t - 1 in
+    for id = 0 to !count - 1 do
+      let slot = ref (!hashes.(id) land mask) in
+      while t.(!slot) >= 0 do
+        slot := (!slot + 1) land mask
+      done;
+      t.(!slot) <- id
+    done;
+    table := t
+  in
+  let scratch = Array.make stride 0 in
+  (* The slot holding [scratch]'s tuple, or the free slot where it
+     belongs. *)
+  let probe h =
+    let t = !table and a = !arena and hs = !hashes in
+    let mask = Array.length t - 1 in
+    let same id =
+      hs.(id) = h
+      &&
+      let off = id * stride in
+      let rec go k =
+        k >= stride
+        || (Array.unsafe_get a (off + k) = Array.unsafe_get scratch k
+           && go (k + 1))
+      in
+      go 0
+    in
+    let rec find slot =
+      let id = t.(slot) in
+      if id < 0 || same id then slot else find ((slot + 1) land mask)
+    in
+    find (h land mask)
+  in
+  (* Copy [scratch] into the arena as the next id and enter it in the
+     table at [slot] (from {!probe}). *)
+  let register h slot ~from ~block =
+    let id = !count in
+    if id = !cap then grow_columns ();
+    Array.blit scratch 0 !arena (id * stride) stride;
+    !hashes.(id) <- h;
+    !parent.(id) <- from;
+    !via.(id) <- block;
+    incr count;
+    if 2 * !count > Array.length !table then rehash ()
+    else !table.(slot) <- id
+  in
+  (* Covered pairs: an n×n byte matrix, a counter, and the id of the
+     tuple that first covered each pair. *)
+  let covered = Bytes.make (n * n) '\000' in
+  let covered_count = ref 0 in
+  let first_cover = ref [] in
   let target_card = Relation.cardinal target in
   let done_ = ref (target_card = 0) in
   let truncated = ref false in
-  (* Per-block successor application on a whole tuple. *)
-  let apply rows t =
-    Array.map
-      (fun qi ->
-        let q' = Bitset.create ns in
-        Bitset.iter (fun s -> Bitset.union_inplace q' rows.(s)) qi;
-        q')
-      t
-  in
-  (* FIFO BFS over tuples.  A popped tuple that is safe covers the
-     (source, node) pairs it projects to; unless that completes the
-     target, its non-empty successor under every block is registered (one
-     unit of fuel each) and queued. *)
-  let queue = Queue.create () in
-  if take () then Queue.add (register t0 None) queue else truncated := true;
-  while (not (Queue.is_empty queue)) && (not !done_) && not (budget_dead ())
-  do
-    let id = Queue.pop queue in
-    let t = (!tuples.(id)).Tuple_key.rows in
+  (* Initial tuple. *)
+  Array.iteri
+    (fun i s ->
+      in_range s;
+      set_bit scratch (i * w) s)
+    cfg.sources;
+  if take () then begin
+    let h = hash_words scratch in
+    register h (probe h) ~from:(-1) ~block:(-1)
+  end
+  else truncated := true;
+  (* FIFO BFS over tuples, in id order.  A popped tuple that is safe
+     covers the (source, node) pairs it projects to; unless that
+     completes the target, its non-empty successor under every block is
+     registered (one unit of fuel each) and queued. *)
+  let head = ref 0 in
+  while !head < !count && (not !done_) && not (budget_dead ()) do
+    let id = !head in
+    incr head;
+    let off = id * stride in
+    let a = !arena in
     let safe = ref true in
-    for i = 0 to n - 1 do
-      if not (Bitset.disjoint t.(i) bad.(i)) then safe := false
+    for k = 0 to stride - 1 do
+      if a.(off + k) land bad.(k) <> 0 then safe := false
     done;
     if !safe then begin
       for i = 0 to n - 1 do
-        Bitset.iter
-          (fun s ->
-            let q = cfg.node_of s in
-            if not (Relation.mem !covered i q) then begin
-              covered := Relation.add !covered i q;
-              Hashtbl.replace witness_ids (i, q) id
-            end)
-          t.(i)
+        for j = 0 to w - 1 do
+          let x = ref a.(off + (i * w) + j) in
+          while !x <> 0 do
+            let b = !x land - !x in
+            let q = node_of.((j * bpw) + bit_index b) in
+            let c = (i * n) + q in
+            if Bytes.get covered c = '\000' then begin
+              Bytes.set covered c '\001';
+              incr covered_count;
+              first_cover := (i, q, id) :: !first_cover
+            end;
+            x := !x lxor b
+          done
+        done
       done;
-      if Relation.cardinal !covered = target_card then done_ := true
+      if !covered_count = target_card then done_ := true
     end;
     if not !done_ then
       Array.iteri
         (fun bi rows ->
-          let rows' = apply rows t in
-          if Array.exists (fun q -> not (Bitset.is_empty q)) rows' then begin
-            let t' = Tuple_key.make rows' in
-            if not (Tuple_tbl.mem visited t') then
+          (* Registering may move the arena; re-read it per block. *)
+          let a = !arena in
+          let any = ref 0 in
+          for i = 0 to n - 1 do
+            let row = i * w in
+            Array.fill scratch row w 0;
+            for j = 0 to w - 1 do
+              let x = ref a.(off + row + j) in
+              while !x <> 0 do
+                let b = !x land - !x in
+                let r = ((j * bpw) + bit_index b) * w in
+                for k = 0 to w - 1 do
+                  scratch.(row + k) <-
+                    scratch.(row + k) lor Array.unsafe_get rows (r + k)
+                done;
+                x := !x lxor b
+              done
+            done;
+            for k = row to row + w - 1 do
+              any := !any lor scratch.(k)
+            done
+          done;
+          if !any <> 0 then begin
+            let h = hash_words scratch in
+            let slot = probe h in
+            if !table.(slot) < 0 then
               if !count >= max_tuples || not (take ()) then truncated := true
-              else Queue.add (register t' (Some (id, bi))) queue
+              else register h slot ~from:id ~block:bi
           end)
         succ_rows
   done;
   (* Reconstruct block sequences for covered pairs. *)
   let path_of id =
     let rec go id acc =
-      match !parents.(id) with
-      | None -> acc
-      | Some (pid, bi) -> go pid (cfg.blocks.(bi).name :: acc)
+      let p = !parent.(id) in
+      if p < 0 then acc else go p (cfg.blocks.(!via.(id)).name :: acc)
     in
     go id []
   in
   let witnesses =
-    Hashtbl.fold (fun pair id acc -> ((pair, path_of id)) :: acc) witness_ids []
+    List.map (fun (i, q, id) -> ((i, q), path_of id)) !first_cover
     |> List.sort compare
+  in
+  let covered =
+    Relation.of_list n (List.map (fun (i, q, _) -> (i, q)) !first_cover)
   in
   if budget_dead () then truncated := true;
   let verdict =
-    if Relation.cardinal !covered = target_card then Definable
+    if !covered_count = target_card then Definable
     else if !truncated then Exhausted
-    else Not_definable (Relation.to_list (Relation.diff target !covered))
+    else Not_definable (Relation.to_list (Relation.diff target covered))
   in
   Log.debug (fun m ->
-      m "explored %d tuples; covered %d/%d pairs%s" !count
-        (Relation.cardinal !covered)
+      m "explored %d tuples; covered %d/%d pairs%s" !count !covered_count
         target_card
         (if !truncated then " (truncated)" else ""));
-  { verdict; covered = !covered; witnesses; tuples_explored = !count }
+  { verdict; covered; witnesses; tuples_explored = !count }

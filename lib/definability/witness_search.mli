@@ -61,4 +61,10 @@ val search :
     (default unlimited) bounds the search further: registering a tuple
     costs one step of fuel and the BFS loop polls the deadline, so an
     exhausted budget yields [Exhausted] with whatever was covered so
-    far. *)
+    far.
+
+    Fuel is exactly one step per registered tuple, in FIFO order with
+    blocks tried in array order, so the outcome — verdict, covered pairs,
+    witnesses, [tuples_explored], and the fuel at which a search turns
+    [Exhausted] — is a function of the config alone and does not depend
+    on how tuples are represented. *)

@@ -8,8 +8,9 @@
 
     These sets back the hot paths of the definability checkers: CSP
     domains in [Hom], adjacency and reachability matrices in
-    [Data_graph] (via {!Bitmatrix}), and the tuple-of-state-sets BFS in
-    [Witness_search]. *)
+    [Data_graph] (via {!Bitmatrix}); the tuple-of-state-sets BFS in
+    [Witness_search] keeps its sets in a flat word arena of its own and
+    uses only {!bits_per_word} and {!popcount}. *)
 
 type t
 
@@ -42,6 +43,9 @@ val fill : t -> unit
 val is_empty : t -> bool
 val cardinal : t -> int
 (** Population count, via a 16-bit lookup table. *)
+
+val popcount : int -> int
+(** Population count of one word, via the same table. *)
 
 val equal : t -> t -> bool
 

@@ -97,6 +97,286 @@ let test_ws_truncation () =
   | WS.Exhausted -> ()
   | _ -> Alcotest.fail "expected truncation"
 
+(* ---------- witness search: flat words vs reference ---------- *)
+
+(* The witness search as it stood before its flat-word rewrite, kept
+   verbatim (minus logging and tracing) as an oracle: each tuple an array
+   of [Bitset]s keyed by its full-pattern hash in a [Hashtbl], successors
+   allocated per block.  The packed kernel must agree with it on verdict,
+   covered pairs, witnesses and tuple count — the same "packed vs
+   reference" pattern as test_bitset.ml. *)
+module Reference = struct
+  module Relation = Datagraph.Relation
+  module Bitset = Util.Bitset
+  open WS
+
+  module Tuple_key = struct
+    type t = { h : int; rows : Bitset.t array }
+
+    let equal a b =
+      a.h = b.h
+      && Array.length a.rows = Array.length b.rows
+      &&
+      let rec go i = i < 0 || (Bitset.equal a.rows.(i) b.rows.(i) && go (i - 1)) in
+      go (Array.length a.rows - 1)
+
+    let hash k = k.h
+
+    let make rows =
+      let h = ref 0 in
+      Array.iter (fun b -> h := (!h * 1000003) lxor Bitset.hash b) rows;
+      { h = !h land max_int; rows }
+  end
+
+  module Tuple_tbl = Hashtbl.Make (Tuple_key)
+
+  let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
+    let n = Array.length cfg.sources in
+    if Relation.universe target <> n then
+      invalid_arg "Witness_search.search: target universe <> number of sources";
+    let take () =
+      match budget with None -> true | Some b -> Engine.Budget.take b
+    in
+    let budget_dead () =
+      match budget with None -> false | Some b -> Engine.Budget.exhausted b
+    in
+    let ns = cfg.num_states in
+    let succ_rows =
+      Array.map
+        (fun block ->
+          Array.init ns (fun s ->
+              let row = Bitset.create ns in
+              List.iter (fun s' -> Bitset.add row s') (block.succ s);
+              row))
+        cfg.blocks
+    in
+    let bad =
+      Array.init n (fun i ->
+          let b = Bitset.create ns in
+          for s = 0 to ns - 1 do
+            if not (Relation.mem target i (cfg.node_of s)) then Bitset.add b s
+          done;
+          b)
+    in
+    let t0 =
+      Tuple_key.make
+        (Array.init n (fun i ->
+             let b = Bitset.create ns in
+             Bitset.add b cfg.sources.(i);
+             b))
+    in
+    let visited : int Tuple_tbl.t = Tuple_tbl.create 4096 in
+    let parents : (int * int) option array ref = ref (Array.make 1024 None) in
+    let tuples : Tuple_key.t array ref = ref (Array.make 1024 t0) in
+    let count = ref 0 in
+    let register t parent =
+      let id = !count in
+      incr count;
+      if id >= Array.length !parents then begin
+        let parents' = Array.make (2 * id) None in
+        Array.blit !parents 0 parents' 0 id;
+        parents := parents';
+        let tuples' = Array.make (2 * id) t0 in
+        Array.blit !tuples 0 tuples' 0 id;
+        tuples := tuples'
+      end;
+      !parents.(id) <- parent;
+      !tuples.(id) <- t;
+      Tuple_tbl.add visited t id;
+      id
+    in
+    let covered = ref (Relation.empty n) in
+    let witness_ids : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
+    let target_card = Relation.cardinal target in
+    let done_ = ref (target_card = 0) in
+    let truncated = ref false in
+    let apply rows t =
+      Array.map
+        (fun qi ->
+          let q' = Bitset.create ns in
+          Bitset.iter (fun s -> Bitset.union_inplace q' rows.(s)) qi;
+          q')
+        t
+    in
+    let queue = Queue.create () in
+    if take () then Queue.add (register t0 None) queue else truncated := true;
+    while (not (Queue.is_empty queue)) && (not !done_) && not (budget_dead ())
+    do
+      let id = Queue.pop queue in
+      let t = (!tuples.(id)).Tuple_key.rows in
+      let safe = ref true in
+      for i = 0 to n - 1 do
+        if not (Bitset.disjoint t.(i) bad.(i)) then safe := false
+      done;
+      if !safe then begin
+        for i = 0 to n - 1 do
+          Bitset.iter
+            (fun s ->
+              let q = cfg.node_of s in
+              if not (Relation.mem !covered i q) then begin
+                covered := Relation.add !covered i q;
+                Hashtbl.replace witness_ids (i, q) id
+              end)
+            t.(i)
+        done;
+        if Relation.cardinal !covered = target_card then done_ := true
+      end;
+      if not !done_ then
+        Array.iteri
+          (fun bi rows ->
+            let rows' = apply rows t in
+            if Array.exists (fun q -> not (Bitset.is_empty q)) rows' then begin
+              let t' = Tuple_key.make rows' in
+              if not (Tuple_tbl.mem visited t') then
+                if !count >= max_tuples || not (take ()) then truncated := true
+                else Queue.add (register t' (Some (id, bi))) queue
+            end)
+          succ_rows
+    done;
+    let path_of id =
+      let rec go id acc =
+        match !parents.(id) with
+        | None -> acc
+        | Some (pid, bi) -> go pid (cfg.blocks.(bi).name :: acc)
+      in
+      go id []
+    in
+    let witnesses =
+      Hashtbl.fold (fun pair id acc -> ((pair, path_of id)) :: acc) witness_ids []
+      |> List.sort compare
+    in
+    if budget_dead () then truncated := true;
+    let verdict =
+      if Relation.cardinal !covered = target_card then Definable
+      else if !truncated then Exhausted
+      else Not_definable (Relation.to_list (Relation.diff target !covered))
+    in
+    { verdict; covered = !covered; witnesses; tuples_explored = !count }
+end
+
+(* One search case: a config, a target, and its cuts.  Fuel is
+   a number, not a [Budget.t], because a budget is consumed by a run and
+   each side needs a fresh one. *)
+type ws_case = {
+  label : string;
+  cfg : WS.config;
+  target : Rel.t;
+  max_tuples : int;
+  fuel : int option;
+}
+
+let ws_agree c =
+  let run search =
+    let budget = Option.map (fun f -> Engine.Budget.create ~fuel:f ()) c.fuel in
+    search ?max_tuples:(Some c.max_tuples) ?budget c.cfg ~target:c.target
+  in
+  let got = run WS.search and want = run Reference.search in
+  got.WS.verdict = want.WS.verdict
+  && Rel.equal got.WS.covered want.WS.covered
+  && got.WS.witnesses = want.WS.witnesses
+  && got.WS.tuples_explored = want.WS.tuples_explored
+
+let print_ws_case c =
+  Printf.sprintf "%s: %d states, %d sources, %d blocks, %d target pairs, max %d%s"
+    c.label c.cfg.WS.num_states
+    (Array.length c.cfg.WS.sources)
+    (Array.length c.cfg.WS.blocks)
+    (Rel.cardinal c.target) c.max_tuples
+    (match c.fuel with Some f -> Printf.sprintf ", fuel %d" f | None -> "")
+
+let gen_cuts st =
+  let max_tuples =
+    match Random.State.int st 3 with
+    | 0 -> 5_000
+    | 1 -> 1 + Random.State.int st 20
+    | _ -> 1 + Random.State.int st 2_000
+  in
+  let fuel =
+    if Random.State.int st 3 = 0 then Some (Random.State.int st 40) else None
+  in
+  (max_tuples, fuel)
+
+(* Empty, partial or full targets over [n] sources. *)
+let gen_target st n =
+  match Random.State.int st 4 with
+  | 0 -> Rel.empty n
+  | 1 -> Rel.full n
+  | _ ->
+      let p = Random.State.float st 1. in
+      Rel.filter (fun _ _ -> Random.State.float st 1. < p) (Rel.full n)
+
+(* Synthetic configs: 1..200 states, so a row spans 1–4 words and
+   crosses the 63-bit word boundary; 0–8 sources, some sharing a start
+   state; 1–6 nondeterministic blocks. *)
+let gen_synthetic_case st =
+  let ns = 1 + Random.State.int st 200 in
+  let n = Random.State.int st 9 in
+  let starts = Array.init (1 + Random.State.int st 4) (fun _ -> Random.State.int st ns) in
+  let sources =
+    Array.init n (fun _ ->
+        if Random.State.bool st then starts.(Random.State.int st (Array.length starts))
+        else Random.State.int st ns)
+  in
+  let node_tbl = Array.init ns (fun _ -> Random.State.int st (max n 1)) in
+  let blocks =
+    Array.init (1 + Random.State.int st 6) (fun b ->
+        let out = 1 + Random.State.int st 3 in
+        let succ =
+          Array.init ns (fun _ ->
+              List.init (Random.State.int st (out + 1)) (fun _ -> Random.State.int st ns))
+        in
+        { WS.name = Printf.sprintf "b%d" b; succ = Array.get succ })
+  in
+  let max_tuples, fuel = gen_cuts st in
+  {
+    label = "synthetic";
+    cfg = { WS.num_states = ns; sources; node_of = Array.get node_tbl; blocks };
+    target = gen_target st n;
+    max_tuples;
+    fuel;
+  }
+
+(* The configs the deciders build, over small random graphs: the RPQ
+   search, the profile automaton (REM) and the assignment graph (k-REM,
+   k = 1, 2). *)
+let gen_decider_case st =
+  let n = 2 + Random.State.int st 4 in
+  let g =
+    Gen.random ~seed:(Random.State.bits st) ~n
+      ~delta:(1 + Random.State.int st 3)
+      ~labels:(if Random.State.bool st then [ "a" ] else [ "a"; "b" ])
+      ~density:(0.2 +. Random.State.float st 0.4)
+      ()
+  in
+  let label, cfg =
+    match Random.State.int st 4 with
+    | 0 -> ("rpq", Rpq.config g)
+    | 1 -> ("rem", Definability.Profile_graph.(config (create g)))
+    | i ->
+        let ag = Definability.Assignment_graph.create g ~k:(i - 1) in
+        (Printf.sprintf "krem k=%d" (i - 1), Definability.Assignment_graph.config ag)
+  in
+  let target =
+    if Random.State.bool st then
+      Gen.random_reachable_relation ~seed:(Random.State.bits st) g
+        ~count:(1 + Random.State.int st 3)
+    else gen_target st n
+  in
+  let max_tuples, fuel = gen_cuts st in
+  { label; cfg; target; max_tuples; fuel }
+
+let ws_reference_props =
+  [
+    QCheck.Test.make ~name:"synthetic configs agree with the reference"
+      ~count:500 ~long_factor:20
+      (QCheck.make ~print:print_ws_case gen_synthetic_case)
+      ws_agree;
+    QCheck.Test.make ~name:"decider configs agree with the reference"
+      ~count:150 ~long_factor:20
+      (QCheck.make ~print:print_ws_case gen_decider_case)
+      ws_agree;
+  ]
+
 (* ---------- RPQ-definability ---------- *)
 
 let test_rpq_fig1 () =
@@ -585,6 +865,8 @@ let () =
           Alcotest.test_case "empty target" `Quick test_ws_empty_target;
           Alcotest.test_case "truncation" `Quick test_ws_truncation;
         ] );
+      ( "witness search reference",
+        List.map QCheck_alcotest.to_alcotest ws_reference_props );
       ( "rpq",
         [
           Alcotest.test_case "fig1" `Quick test_rpq_fig1;

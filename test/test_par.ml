@@ -546,7 +546,13 @@ let test_exhaustion_determinism () =
    them.  These pin the exact kernel outputs — verdict, witness paths or
    terms, exploration counts — at pool sizes 1 and 2, on the bench's
    witness (seed 8) and REE closure (seed 15) instances and on Fig. 1,
-   including runs cut short by fuel or by the tuple cap. *)
+   including runs cut short by fuel or by the tuple cap.
+
+   The rpq cases and the wide krem cases (more than 63 states, so each
+   state set spans several machine words) were recorded on the Bitset
+   implementation of the witness search, before its flat-word rewrite:
+   they pin that the rewrite explores, counts and reports exactly what
+   the old code did. *)
 
 module Remd = Definability.Rem_definability
 module Reed = Definability.Ree_definability
@@ -585,8 +591,36 @@ let ree_repr (r : Reed.search) =
 let golden_cases () =
   let gw, sw = bench_instance ~seed:8 ~n:6 ~delta:2 in
   let gr, sr = bench_instance ~seed:15 ~n:5 ~delta:2 in
+  (* 8 nodes, δ = 3, k = 2: 8·4² = 128 assignment states, 3 words. *)
+  let gk =
+    Gen.random ~seed:1 ~n:8 ~delta:3 ~labels:[ "a" ] ~density:0.45 ()
+  in
+  let sk = Gen.random_reachable_relation ~seed:1 gk ~count:1 in
+  (* 70 nodes, so the RPQ search's rows span 2 words. *)
+  let gp =
+    Gen.random ~seed:2 ~n:70 ~delta:2 ~labels:[ "a"; "b" ] ~density:0.05 ()
+  in
+  let sp = Gen.random_reachable_relation ~seed:2 gp ~count:2 in
   let fuel n = Budget.create ~fuel:n () in
   [
+    ( "rpq fig1 s1",
+      (fun () -> witness_repr (Definability.Rpq_definability.search fig1 s1)),
+      "definable tuples=4 witnesses=0,2:a.a.a;0,3:a.a.a;0,7:a.a.a;0,8:a.a.a;"
+      ^ "1,9:a.a.a;4,2:a.a.a;4,7:a.a.a;5,3:a.a.a;5,8:a.a.a;6,9:a.a.a" );
+    ( "rpq seed 2, 70 nodes",
+      (fun () -> witness_repr (Definability.Rpq_definability.search gp sp)),
+      "not_definable[1,69;9,43] tuples=222 witnesses=" );
+    ( "krem k=2 seed 1, 128 states",
+      (fun () -> witness_repr (Remd.search_k gk ~k:2 sk)),
+      "definable tuples=34164 witnesses=4,0:@{r2} a[r1!= & r2=]."
+      ^ "a[r1!= & r2!=].@{r1} a[r1!= & r2=].a[r1!= & r2=].a[r1!= & r2!=]."
+      ^ "a[r1!= & r2=]" );
+    ( "krem k=2 seed 1, 128 states, fuel 5000",
+      (fun () -> witness_repr (Remd.search_k ~budget:(fuel 5000) gk ~k:2 sk)),
+      "exhausted tuples=5000 witnesses=" );
+    ( "krem k=2 seed 1, 128 states, max 3000 tuples",
+      (fun () -> witness_repr (Remd.search_k ~max_tuples:3000 gk ~k:2 sk)),
+      "exhausted tuples=3000 witnesses=" );
     ( "rem seed 8",
       (fun () -> witness_repr (Remd.search ~max_tuples:200_000 gw sw)),
       "not_definable[0,2;5,2] tuples=28 witnesses=" );

@@ -1261,9 +1261,13 @@ let test_e2e_trace_propagation () =
      must carry the client's trace id, the router because it wraps
      dispatch in the context, the shard because the forwarded line
      still carries the envelope. *)
-  let seen = ref [] in
+  (* Spans end on the router's and shards' threads and on pool domains:
+     guard the list, and give a span that ends just after its response
+     was written a moment to arrive. *)
+  let seen = ref [] and seen_lock = Mutex.create () in
   let probe =
-    Obs.Sink.make (fun (s : Obs.span) -> seen := (s.name, s.trace) :: !seen)
+    Obs.Sink.make (fun (s : Obs.span) ->
+        Mutex.protect seen_lock (fun () -> seen := (s.name, s.trace) :: !seen))
   in
   Obs.enable [ probe ];
   Fun.protect ~finally:Obs.disable @@ fun () ->
@@ -1276,10 +1280,14 @@ let test_e2e_trace_propagation () =
           let resp = request_env conn ~envelope (decide_req s2_text) in
           Alcotest.(check (option string)) "decided" (Some "ok")
             (member_str "status" resp)));
-  let tagged name =
+  let deadline = Unix.gettimeofday () +. 5. in
+  let rec tagged name =
     List.exists
       (fun (n, tr) -> n = name && tr = Some "e2e-trace-7")
-      !seen
+      (Mutex.protect seen_lock (fun () -> !seen))
+    || Unix.gettimeofday () < deadline
+       && (Thread.delay 0.01;
+           tagged name)
   in
   Alcotest.(check bool) "route span carries the trace id" true
     (tagged "service.route");
