@@ -41,9 +41,10 @@ type domain = { bits : Bitset.t; mutable card : int }
 type csp = {
   n : int;
   (* Binary constraints as (u, v, allowed, allowedᵀ); rows of [allowed]
-     index u-values, rows of the transpose index v-values.  The data
-     constraints all share two matrices (same-value / distinct-value),
-     which are symmetric and hence self-transposed. *)
+     index u-values, rows of the transpose index v-values.  The tables
+     are shared: every variable pair with the same edge labels and the
+     same data kind points at one matrix pair, and tables are read-only
+     once built, so the domains that search one CSP share them too. *)
   constraints : (int * int * Bitmatrix.t * Bitmatrix.t) array;
   (* For each variable, indices of constraints mentioning it. *)
   incident : int list array;
@@ -73,69 +74,118 @@ type state = {
   enqueued : bool array;
 }
 
+(* What a reachable pair {p, q}, p ≠ q, asks of its images: the same
+   data value or distinct ones.  Pairs that are not reachable either
+   way (and self-loops) ask nothing. *)
+type data_kind = No_data | Same | Diff
+
+(* The label ids of an ordered pair (u, v) that carries edges, and the
+   data kind merged into its table. *)
+type edge_pair = { mutable labels : int list; mutable data : data_kind }
+
+(* The constraint of a variable pair is the intersection of the
+   adjacency matrices of its edge labels and of its data matrix, so it
+   depends only on (label set, data kind).  A graph has far more
+   constrained pairs than distinct such keys (a 56-node Figure 3 graph
+   has 366 edge pairs but 16 keys), so each key's table, its transpose and
+   its never-prunes test are computed once and shared by every pair that
+   carries the key. *)
 let build_csp_uncached g =
   let n = Data_graph.size g in
   let reach = Data_graph.reachability_matrix g in
-  let constraints = ref [] in
-  (* One constraint per (u, v) edge pair; edges with the same endpoints
-     conjoin into a single table by intersecting adjacency matrices. *)
-  let edge_tbl : (int * int, Bitmatrix.t) Hashtbl.t = Hashtbl.create 64 in
+  let pairs : (int, edge_pair) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (u, a, v) ->
-      let adj = Data_graph.adjacency_matrix g (Data_graph.label_id g a) in
-      match Hashtbl.find_opt edge_tbl (u, v) with
-      | Some m -> Bitmatrix.inter_inplace m adj
-      | None -> Hashtbl.add edge_tbl (u, v) (Bitmatrix.copy adj))
+      let l = Data_graph.label_id g a in
+      match Hashtbl.find_opt pairs ((u * n) + v) with
+      | Some e -> e.labels <- l :: e.labels
+      | None -> Hashtbl.add pairs ((u * n) + v) { labels = [ l ]; data = No_data })
     (Data_graph.edges g);
-  (* Data compatibility for reachable pairs (skip trivial p = q).  All
-     standalone data constraints share the two matrices below. *)
+  (* The same-value and distinct-value matrices, one row per value
+     class.  Both are symmetric, hence their own transposes. *)
+  let classes = Array.init (Data_graph.delta g) (fun _ -> Bitset.create n) in
+  for x = 0 to n - 1 do
+    Bitset.add classes.(Data_graph.value_index g x) x
+  done;
   let same = Bitmatrix.create n n in
   let diff = Bitmatrix.create n n in
   for x = 0 to n - 1 do
-    for y = 0 to n - 1 do
-      if Data_graph.same_value g x y then Bitmatrix.set same x y
-      else Bitmatrix.set diff x y
-    done
+    let c = classes.(Data_graph.value_index g x) in
+    Bitset.union_inplace (Bitmatrix.row same x) c;
+    let d = Bitmatrix.row diff x in
+    Bitset.fill d;
+    Bitset.diff_inplace d c
   done;
-  (* The data matrices are symmetric and [revise] works both directions,
-     so one constraint per unordered pair {p, q} suffices; and when the
-     pair also carries an edge constraint, intersect the data matrix into
-     it instead of adding a second constraint on the same pair. *)
-  for p = 0 to n - 1 do
-    for q = p + 1 to n - 1 do
-      if Bitmatrix.get reach p q || Bitmatrix.get reach q p then begin
-        let m = if Data_graph.same_value g p q then same else diff in
-        let merged = ref false in
-        List.iter
-          (fun key ->
-            match Hashtbl.find_opt edge_tbl key with
-            | Some em ->
-                Bitmatrix.inter_inplace em m;
-                merged := true
-            | None -> ())
-          [ (p, q); (q, p) ];
-        if not !merged then constraints := (p, q, m, m) :: !constraints
-      end
-    done
-  done;
-  Hashtbl.iter
-    (fun (u, v) m ->
-      constraints := (u, v, m, Bitmatrix.transpose m) :: !constraints)
-    edge_tbl;
-  (* A constraint whose matrix is all-true (every row full) can never
-     prune a value; revising it on every propagation is pure waste.  In
-     particular, on a single-valued graph the [same] matrix is full and
-     every reachable pair's data constraint drops out here. *)
-  let never_prunes (_, _, m, _) =
+  (* A table whose every row is full can never prune a value; revising
+     it on every propagation is pure waste, so its pairs get no
+     constraint.  In particular, on a single-valued graph the [same]
+     matrix is full and every standalone data constraint drops out. *)
+  let never_prunes m =
     let full = ref true in
     for x = 0 to n - 1 do
       if Bitset.cardinal (Bitmatrix.row m x) <> n then full := false
     done;
     !full
   in
-  let constraints =
-    Array.of_list (List.filter (fun c -> not (never_prunes c)) !constraints)
+  let tables = Hashtbl.create 32 in
+  let table labels data =
+    match Hashtbl.find_opt tables (labels, data) with
+    | Some t -> t
+    | None ->
+        let data_matrix =
+          match data with No_data -> None | Same -> Some same | Diff -> Some diff
+        in
+        let m, mt =
+          match labels with
+          | [] ->
+              let d = Option.get data_matrix in
+              (d, d)
+          | l :: rest ->
+              let m = Bitmatrix.copy (Data_graph.adjacency_matrix g l) in
+              List.iter
+                (fun l -> Bitmatrix.inter_inplace m (Data_graph.adjacency_matrix g l))
+                rest;
+              Option.iter (Bitmatrix.inter_inplace m) data_matrix;
+              (m, Bitmatrix.transpose m)
+        in
+        let t = if never_prunes m then None else Some (m, mt) in
+        Hashtbl.add tables (labels, data) t;
+        t
   in
+  let constraints = ref [] in
+  let add u v labels data =
+    match table labels data with
+    | Some (m, mt) -> constraints := (u, v, m, mt) :: !constraints
+    | None -> ()
+  in
+  (* [revise] works both directions, so one data constraint per
+     unordered reachable pair {p, q} suffices; when the pair also carries
+     edges (either way round), the data kind joins those edge tables
+     instead of adding a second constraint on the same pair. *)
+  for p = 0 to n - 1 do
+    for q = p + 1 to n - 1 do
+      if Bitmatrix.get reach p q || Bitmatrix.get reach q p then begin
+        let kind =
+          if Data_graph.value_index g p = Data_graph.value_index g q then Same
+          else Diff
+        in
+        let merged = ref false in
+        List.iter
+          (fun key ->
+            match Hashtbl.find_opt pairs key with
+            | Some e ->
+                e.data <- kind;
+                merged := true
+            | None -> ())
+          [ (p * n) + q; (q * n) + p ];
+        if not !merged then add p q [] kind
+      end
+    done
+  done;
+  Hashtbl.iter
+    (fun key e -> add (key / n) (key mod n) (List.sort_uniq compare e.labels) e.data)
+    pairs;
+  let constraints = Array.of_list !constraints in
   let incident = Array.make n [] in
   Array.iteri
     (fun ci (u, v, _, _) ->

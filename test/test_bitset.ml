@@ -303,6 +303,76 @@ let test_hom_agrees_with_brute_force () =
     end
   done
 
+(* The same agreement as a property, over graphs built to share
+   constraint tables: 1–5 nodes (at most 5⁵ = 3125 maps to enumerate),
+   1–3 labels with several labels on one ordered pair, edges both ways
+   and self-loops, and 1–3 data values — so same-value, distinct-value
+   and never-pruning tables all occur, alone and merged into edge
+   tables.  The target is a random relation of arity 1 or 2. *)
+let gen_hom_case st =
+  let n = 1 + Random.State.int st 5 in
+  let delta = 1 + Random.State.int st 3 in
+  let num_labels = 1 + Random.State.int st 3 in
+  let labels = List.filteri (fun i _ -> i < num_labels) [ "a"; "b"; "c" ] in
+  let values = Array.init n (fun _ -> dv (Random.State.int st delta)) in
+  let density = Random.State.float st 0.6 in
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      List.iter
+        (fun a ->
+          if Random.State.float st 1. < density then edges := (u, a, v) :: !edges)
+        labels
+    done
+  done;
+  let g = DG.build ~values ~edges:!edges in
+  let arity = 1 + Random.State.int st 2 in
+  let all_tuples =
+    if arity = 1 then List.init n (fun p -> [ p ])
+    else
+      List.concat_map (fun p -> List.init n (fun q -> [ p; q ])) (List.init n Fun.id)
+  in
+  let p = Random.State.float st 1. in
+  let target =
+    TR.of_list ~universe:n ~arity
+      (List.filter (fun _ -> Random.State.float st 1. < p) all_tuples)
+  in
+  (g, target)
+
+let print_hom_case (g, s) =
+  Printf.sprintf "values=[%s] edges=[%s] target(arity %d)=[%s]"
+    (String.concat ";"
+       (List.map (fun p -> string_of_int (DV.to_int (DG.value g p))) (DG.nodes g)))
+    (String.concat ";"
+       (List.map (fun (u, a, v) -> Printf.sprintf "%d-%s->%d" u a v) (DG.edges g)))
+    (TR.arity s)
+    (String.concat ";"
+       (List.map
+          (fun t -> String.concat "," (List.map string_of_int t))
+          (TR.to_list s)))
+
+let hom_agrees (g, s) =
+  let n = DG.size g in
+  let brute = List.filter (ref_is_hom g) (all_maps n) in
+  let sorted l = List.sort compare (List.map Array.to_list l) in
+  let violates h =
+    TR.exists (fun tup -> not (TR.mem s (List.map (fun p -> h.(p)) tup))) s
+  in
+  Hom.count g = List.length brute
+  && sorted (Hom.all g) = sorted brute
+  &&
+  match Hom.find_violating g s with
+  | Some h -> ref_is_hom g h && violates h
+  | None -> not (List.exists violates brute)
+
+let hom_reference_props =
+  [
+    QCheck.Test.make ~name:"Hom agrees with brute-force enumeration"
+      ~count:200 ~long_factor:20
+      (QCheck.make ~print:print_hom_case gen_hom_case)
+      hom_agrees;
+  ]
+
 (* ---------- Rem: packed evaluator vs generic reference ---------- *)
 
 let rand_cond st =
@@ -390,4 +460,6 @@ let () =
           Alcotest.test_case "Rem packed vs generic" `Quick
             test_rem_packed_agrees_with_generic;
         ] );
+      ( "hom reference",
+        List.map QCheck_alcotest.to_alcotest hom_reference_props );
     ]

@@ -557,6 +557,9 @@ let test_exhaustion_determinism () =
 module Remd = Definability.Rem_definability
 module Reed = Definability.Ree_definability
 module WS = Definability.Witness_search
+module Hom = Definability.Hom
+module Sat = Reductions.Sat_reduction
+module Cnf = Reductions.Cnf
 
 let bench_instance ~seed ~n ~delta =
   let g = Gen.random ~seed ~n ~delta ~labels:[ "a" ] ~density:0.45 () in
@@ -664,6 +667,73 @@ let golden_cases () =
       ^ "witnesses=0,2:(a!= (a= a))=" );
   ]
 
+let hom_repr (o : Hom.violation_outcome) =
+  let r =
+    match o.result with
+    | `Preserved -> "preserved"
+    | `Budget_exhausted -> "exhausted"
+    | `Violation (h, tup) ->
+        Printf.sprintf "violation[hom:%s|tuple:%s]"
+          (String.concat "," (List.map string_of_int (Array.to_list h)))
+          (String.concat "," (List.map string_of_int tup))
+  in
+  Printf.sprintf "%s nodes=%d" r o.nodes_explored
+
+(* The [Hom] violation search on the Theorem 35 reduction graphs and on
+   the bench's hom graph, with and without a fuel cut.  Recorded on the
+   per-pair constraint builder, before constraint tables were shared
+   between variable pairs: they pin that sharing leaves the search's
+   result, homomorphism, tuple and node count unchanged. *)
+let hom_golden_cases () =
+  let thm35 f =
+    let r = Sat.build f in
+    (r.Sat.graph, r.Sat.target)
+  in
+  (* Satisfiable: the search finds a violating homomorphism. *)
+  let g_sat, s_sat = thm35 (Cnf.random ~seed:1 ~num_vars:3 ~num_clauses:3 ()) in
+  (* All 8 clauses over 3 variables: unsatisfiable, so S is preserved;
+     136 nodes, so each table row spans 3 words. *)
+  let g_unsat, s_unsat =
+    thm35
+      (Cnf.make ~num_vars:3
+         (List.concat_map
+            (fun a ->
+              List.concat_map
+                (fun b -> List.map (fun c -> (a, b * 2, c * 3)) [ 1; -1 ])
+                [ 1; -1 ])
+            [ 1; -1 ]))
+  in
+  let gh =
+    Gen.random ~seed:23 ~n:7 ~delta:3 ~labels:[ "a"; "b" ] ~density:0.35 ()
+  in
+  let sh = TR.of_binary (Gen.random_reachable_relation ~seed:23 gh ~count:3) in
+  let search ?fuel g s () =
+    let budget = Option.map (fun n -> Budget.create ~fuel:n ()) fuel in
+    hom_repr (Hom.search_violating ?budget g s)
+  in
+  [
+    ( "hom thm35 sat seed 1",
+      search g_sat s_sat,
+      "violation[hom:0,1,0,0,1,1,1,0,39,45,54,11,12,13,14,15,16,17,18,19,20,"
+      ^ "21,22,23,24,25,26,27,28,29,30,31,32,33,34,12,13,14,15,16,17,18,20,"
+      ^ "21,22,23,24,25,26,28,29,30,31,32,33,34|tuple:8] nodes=8" );
+    ( "hom thm35 unsat 3 vars, 136 nodes",
+      search g_unsat s_unsat,
+      "preserved nodes=33" );
+    ( "hom thm35 unsat 3 vars, 136 nodes, fuel 32",
+      search ~fuel:32 g_unsat s_unsat,
+      "exhausted nodes=32" );
+    ( "hom thm35 sat seed 1, fuel 7",
+      search ~fuel:7 g_sat s_sat,
+      "exhausted nodes=7" );
+    ( "hom thm35 sat seed 1, fuel 8",
+      search ~fuel:8 g_sat s_sat,
+      "violation[hom:0,1,0,0,1,1,1,0,39,45,54,11,12,13,14,15,16,17,18,19,20,"
+      ^ "21,22,23,24,25,26,27,28,29,30,31,32,33,34,12,13,14,15,16,17,18,20,"
+      ^ "21,22,23,24,25,26,28,29,30,31,32,33,34|tuple:8] nodes=8" );
+    ("hom seed 23", search gh sh, "preserved nodes=1");
+  ]
+
 let test_golden_exploration () =
   List.iter
     (fun (name, f, expected) ->
@@ -673,7 +743,7 @@ let test_golden_exploration () =
             (Printf.sprintf "%s at pool size %d" name size)
             expected (with_pool_size size f))
         [ 1; 2 ])
-    (golden_cases ())
+    (golden_cases () @ hom_golden_cases ())
 
 (* ---------- decide_batch ---------- *)
 
