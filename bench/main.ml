@@ -606,9 +606,9 @@ let acceptance_cases () =
   @ engine_rows @ service_rows
 
 (* ------------------------------------------------------------------ *)
-(* Pool-size scaling curve, the bench's one pool-size family: the two
-   paths whose work depends on the pool size — Hom's parallel root split
-   and batched dispatch — each measured at pool sizes 1/2/4/8 with
+(* Pool-size scaling curve, the bench's one pool-size family: the one
+   path whose work depends on the pool size — batched dispatch; every
+   kernel searches sequentially — measured at pool sizes 1/2/4/8 with
    per-row round statistics (min/median/max over [scaling_rounds]
    rounds) — the acceptance criterion for the work-stealing pool is the
    shape of this curve, and a single best-of number cannot show whether
@@ -629,13 +629,6 @@ let scaling_rounds = 5
 let scaling_sizes = [ 1; 2; 4; 8 ]
 
 let par_scaling_kernels () =
-  let gh =
-    Gen.random ~seed:23 ~n:7 ~delta:3 ~labels:[ "a"; "b" ] ~density:0.35 ()
-  in
-  let sh =
-    Datagraph.Tuple_relation.of_binary
-      (Gen.random_reachable_relation ~seed:23 gh ~count:3)
-  in
   let batch_insts =
     List.map
       (fun seed ->
@@ -644,8 +637,6 @@ let par_scaling_kernels () =
       [ 31; 32; 33; 34; 35; 36; 37; 38; 39; 40; 41; 42 ]
   in
   [
-    ( "hom-violating",
-      fun () -> ignore (Definability.Hom.search_violating gh sh) );
     ( "batch",
       fun () ->
         List.iter

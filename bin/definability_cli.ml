@@ -13,8 +13,10 @@
    [check] exit codes: 0 definable, 1 not definable, 2 usage/load errors,
    4 unknown (budget exhausted).
 
-   [--domains N] sizes the worker-domain pool (Par.Pool); verdicts,
-   certificates and counterexamples are identical at any pool size. *)
+   [--domains N] sizes the worker-domain pool (Par.Pool), which decides
+   the instances of [batch] and the requests of [serve] in parallel;
+   verdicts, certificates and counterexamples are identical at any pool
+   size. *)
 
 module Data_graph = Datagraph.Data_graph
 module Relation = Datagraph.Relation
@@ -165,11 +167,13 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Size of the worker-domain pool used by the parallel search \
-           kernels and $(b,batch) (default: the $(b,PAR_DOMAINS) \
-           environment variable, else 1 = fully sequential).  Verdicts, \
-           certificates and counterexamples are identical at any pool \
-           size.")
+          "Size of the worker-domain pool (default: the \
+           $(b,PAR_DOMAINS) environment variable, else 1 = fully \
+           sequential).  The pool decides the instances of $(b,batch) \
+           and the requests of $(b,serve) in parallel; $(b,check) and \
+           $(b,watch) decide on the calling domain at any size, since \
+           every search is sequential.  Verdicts, certificates and \
+           counterexamples are identical at any pool size.")
 
 let set_domains = function
   | None -> ()

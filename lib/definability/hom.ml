@@ -398,176 +398,60 @@ let copy_doms doms =
   Array.map (fun d -> { bits = Bitset.copy d.bits; card = d.card }) doms
 
 exception Out_of_budget
-exception Cancelled
 
 (* Generic backtracking search.  [prune doms] may declare a subtree
    hopeless; [leaf h] is called on every complete homomorphism and
    returns [true] to stop with this solution.  Every branch node consumes
    one step of [budget]; exhaustion aborts the whole search via
-   [Out_of_budget] (caught by the budgeted entry points).  [take]
-   overrides the budget consumption (the parallel subtree searches pass
-   a per-domain chunked view of the shared budget) and [cancel] is
-   polled once per branch node — when it fires the search unwinds via
-   [Cancelled], which the parallel driver treats as "result irrelevant"
-   (only subtrees whose answer can no longer win are cancelled). *)
-let solve_from ?budget ?take ?(cancel = fun () -> false) ~nodes csp st ~prune
-    ~leaf =
-  let exception Found of int array in
-  let take =
-    match take with
-    | Some t -> t
-    | None -> (
-        match budget with
-        | None -> fun () -> true
-        | Some b -> fun () -> Engine.Budget.take b)
-  in
-  let rec go () =
-    if cancel () then raise Cancelled;
-    if not (take ()) then raise Out_of_budget;
-    incr nodes;
-    if not (prune st.doms) then begin
-      let var = ref (-1) and best = ref max_int in
-      Array.iteri
-        (fun v d ->
-          if d.card > 1 && d.card < !best then begin
-            var := v;
-            best := d.card
-          end)
-        st.doms;
-      if !var = -1 then begin
-        let h = Array.map dom_first st.doms in
-        if leaf h then raise (Found h)
-      end
-      else
-        let var = !var in
-        let values = Bitset.to_list st.doms.(var).bits in
-        List.iter
-          (fun x ->
-            let mark = st.trail_len in
-            (try
-               List.iter
-                 (fun y -> if y <> x then dom_remove csp st var y)
-                 values;
-               propagate csp st [ var ];
-               go ()
-             with Wipeout -> ());
-            undo_to csp st mark)
-          values
-    end
-  in
-  try
-    go ();
-    None
-  with Found h -> Some h
-
+   [Out_of_budget] (caught by the budgeted entry points).  The root node
+   is tested on the shared template itself: [prune] is pure, so a root
+   that prunes costs its one step and no copy of the domains. *)
 let solve ?budget ?(nodes = ref 0) csp ~prune ~leaf =
+  let exception Found of int array in
+  (* Take a node's step, count it, and report whether to search below it. *)
+  let enter doms =
+    (match budget with
+    | Some b when not (Engine.Budget.take b) -> raise Out_of_budget
+    | _ -> ());
+    incr nodes;
+    not (prune doms)
+  in
+  let rec expand st =
+    let var = ref (-1) and best = ref max_int in
+    Array.iteri
+      (fun v d ->
+        if d.card > 1 && d.card < !best then begin
+          var := v;
+          best := d.card
+        end)
+      st.doms;
+    if !var = -1 then begin
+      let h = Array.map dom_first st.doms in
+      if leaf h then raise (Found h)
+    end
+    else
+      let var = !var in
+      let values = Bitset.to_list st.doms.(var).bits in
+      List.iter
+        (fun x ->
+          let mark = st.trail_len in
+          (try
+             List.iter (fun y -> if y <> x then dom_remove csp st var y) values;
+             propagate csp st [ var ];
+             if enter st.doms then expand st
+           with Wipeout -> ());
+          undo_to csp st mark)
+        values
+  in
   match root_doms csp with
   | None -> None
-  | Some template ->
-      solve_from ?budget ~nodes csp
-        (fresh_state csp (copy_doms template))
-        ~prune ~leaf
-
-(* Parallel variant of [solve]: the root branch variable (chosen exactly
-   as the sequential search would) fans its values out across the domain
-   pool, one independent subtree search per value.  Determinism comes
-   from the merge, not the schedule: subtree results are scanned in
-   value order, so the returned solution is the one the sequential
-   search would have found first.  Early cancellation preserves that —
-   when subtree [i] finds a solution, only subtrees [j > i] (whose
-   answer can no longer win) are cancelled; lower-indexed subtrees run
-   to completion.  Only used with unlimited fuel: subtrees consume a
-   shared deadline budget through per-domain chunked views, and a
-   subtree that exhausts it aborts the whole search exactly as the
-   sequential order would (scan hits its [Exhausted] before any later
-   [Found]). *)
-let solve_par ?budget ~nodes csp ~prune ~leaf =
-  match root_doms csp with
-  | None -> None
-  | Some template ->
-      let take0 =
-        match budget with None -> true | Some b -> Engine.Budget.take b
-      in
-      if not take0 then raise Out_of_budget;
-      incr nodes;
-      if prune template then None
-      else begin
-        let var = ref (-1) and best_card = ref max_int in
-        Array.iteri
-          (fun v d ->
-            if d.card > 1 && d.card < !best_card then begin
-              var := v;
-              best_card := d.card
-            end)
-          template;
-        if !var = -1 then begin
-          let h = Array.map dom_first template in
-          if leaf h then Some h else None
-        end
-        else begin
-          let var = !var in
-          let values = Bitset.to_list template.(var).bits in
-          let best = Atomic.make max_int in
-          let subtree i x () =
-            let sub_nodes = ref 0 in
-            let take =
-              match budget with
-              | None -> None
-              | Some b ->
-                  let l = Engine.Budget.local b in
-                  Some (fun () -> Engine.Budget.take_local l)
-            in
-            let cancel () = Atomic.get best < i in
-            let st = fresh_state csp (copy_doms template) in
-            let r =
-              match
-                List.iter
-                  (fun y -> if y <> x then dom_remove csp st var y)
-                  values;
-                propagate csp st [ var ];
-                solve_from ?take ~cancel ~nodes:sub_nodes csp st ~prune ~leaf
-              with
-              | Some h ->
-                  (* Record the lowest solving index so later subtrees
-                     stop wasting work. *)
-                  let rec lower () =
-                    let cur = Atomic.get best in
-                    if i < cur && not (Atomic.compare_and_set best cur i)
-                    then lower ()
-                  in
-                  lower ();
-                  `Found h
-              | None -> `Not_found
-              | exception Wipeout -> `Not_found
-              | exception Cancelled -> `Not_found
-              | exception Out_of_budget -> `Exhausted
-            in
-            (r, !sub_nodes)
-          in
-          let results =
-            Par.Pool.run (Array.of_list (List.mapi subtree values))
-          in
-          (* Merge in value order = the sequential exploration order.
-             Fuel accounting follows the same rule: bill exactly the
-             subtrees the sequential search would have entered — those
-             up to and including the first [`Found]/[`Exhausted] in value
-             order.  A later subtree that was cancelled (or that ran to
-             completion speculatively before the winner posted) explored
-             nodes the sequential order never would; billing those would
-             make the reported count depend on the steal schedule. *)
-          let rec scan i =
-            if i >= Array.length results then None
-            else begin
-              nodes := !nodes + snd results.(i);
-              match fst results.(i) with
-              | `Exhausted -> raise Out_of_budget
-              | `Found h -> Some h
-              | `Not_found -> scan (i + 1)
-            end
-          in
-          scan 0
-        end
-      end
+  | Some template -> (
+      if not (enter template) then None
+      else
+        try
+          expand (fresh_state csp (copy_doms template));
+          None
+        with Found h -> Some h)
 
 type csp_handle = csp
 
@@ -602,26 +486,8 @@ let search_violating ?budget ?csp g s =
   let escapes h tup = not (Tuple_relation.mem s (List.map (fun p -> h.(p)) tup)) in
   let leaf h = Tuple_relation.exists (escapes h) s in
   let nodes = ref 0 in
-  (* The parallel root split requires unlimited fuel: with a finite step
-     bound, which subtree hits exhaustion first would depend on the
-     schedule, so finite-fuel searches keep the sequential order (same
-     exhaustion point at any pool size).  Deadlines are fine — a timeout
-     is inherently wall-clock-dependent either way. *)
-  (* [in_pool]: inside a pool task a nested batch would inline anyway,
-     so the split falls back to the sequential search instead of paying
-     fan-out overhead for no concurrency. *)
-  let par_ok =
-    Par.Pool.size () > 1
-    && (not (Par.Pool.in_pool ()))
-    && match budget with
-       | None -> true
-       | Some b -> not (Engine.Budget.has_fuel_limit b)
-  in
   let result =
-    match
-      if par_ok then solve_par ?budget ~nodes csp ~prune ~leaf
-      else solve ?budget ~nodes csp ~prune ~leaf
-    with
+    match solve ?budget ~nodes csp ~prune ~leaf with
     | exception Out_of_budget -> `Budget_exhausted
     | None -> `Preserved
     | Some h ->

@@ -103,7 +103,6 @@ let exhausted b =
   is_dead b || Atomic.get b.state asr 1 >= b.fuel
 
 let fuel_limit b = if b.fuel = max_int then None else Some b.fuel
-let has_fuel_limit b = b.fuel <> max_int
 
 (* Budgets are fresh per dispatch (see the interface), so publishing the
    whole tallies once — from [Registry.decide], after the decider
@@ -111,40 +110,3 @@ let has_fuel_limit b = b.fuel <> max_int
 let flush_telemetry b =
   Obs.Counter.add c_takes (Atomic.get b.state asr 1);
   Obs.Counter.add c_polls b.polls
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain chunked views.
-
-   Under a shared budget, a parallel search calling [take] per node pays
-   one contended fetch-and-add per step.  A [local] view amortizes this
-   for the *unbounded-fuel* case (the only case [Hom]'s parallel root
-   split runs in — finite fuel forces the deterministic sequential
-   path): it claims [chunk] attempts from the shared word at once and
-   hands them out locally, probing the deadline once per claim so a
-   deadline is still honoured within ~[chunk] steps per domain.  With finite fuel
-   the view degrades to plain [take], keeping step accounting exact. *)
-
-type local = { b : t; mutable credit : int }
-
-let chunk = poll_interval
-
-let local b = { b; credit = 0 }
-
-let take_local l =
-  if l.credit > 0 then begin
-    l.credit <- l.credit - 1;
-    true
-  end
-  else if has_fuel_limit l.b then take l.b
-  else begin
-    let s = Atomic.fetch_and_add l.b.state (2 * chunk) in
-    if s land 1 = 1 then false
-    else begin
-      if l.b.deadline < infinity then probe_deadline l.b ~used:(s asr 1);
-      if is_dead l.b then false
-      else begin
-        l.credit <- chunk - 1;
-        true
-      end
-    end
-  end

@@ -15,9 +15,9 @@
     Budgets are {e domain-safe}: the fuel counter and the sticky dead
     flag live in a single atomic state word, so concurrent {!take}s from
     several domains never lose steps, never resurrect a dead budget, and
-    grant exactly [fuel] steps in total.  Parallel searches sharing one
-    unbounded-fuel budget should take through a per-domain {!local} view,
-    which claims steps in chunks to keep the shared word uncontended. *)
+    grant exactly [fuel] steps in total.  Each search takes from its own
+    budget on one domain; the word stays atomic because, uncontended, it
+    costs that search one read-modify-write per step. *)
 
 type t
 
@@ -43,29 +43,6 @@ val used : t -> int
 
 val fuel_limit : t -> int option
 (** The fuel bound, if any. *)
-
-val has_fuel_limit : t -> bool
-(** Whether the budget bounds steps at all.  [Hom]'s violating-
-    homomorphism search, the one kernel with a parallel path, checks
-    this to pick a strategy: finite fuel forces the deterministic
-    sequential search order (so exhaustion hits the same step at any
-    pool size), unbounded fuel admits its parallel root split. *)
-
-(** {2 Per-domain views}
-
-    A {!local} view amortizes contention on a budget shared by several
-    domains: for unbounded-fuel budgets it claims {e chunks} of steps
-    from the shared atomic word and hands them out locally, probing the
-    deadline once per chunk (so a deadline is honoured within one chunk
-    per domain).  With finite fuel, {!take_local} falls through to plain
-    {!take} — chunk claiming would over-commit steps and break the
-    deterministic exhaustion point.  A view belongs to one domain; make
-    one per parallel task. *)
-
-type local
-
-val local : t -> local
-val take_local : local -> bool
 
 val flush_telemetry : t -> unit
 (** Publish the budget's step and deadline-poll tallies to the

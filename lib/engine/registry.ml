@@ -38,11 +38,9 @@ let decide ?budget ?params ~lang inst =
    single-use, so a shared one would starve every instance after the
    first), telemetry flushed per attempt — and the result list lines up
    with the input list.  Instances are independent, so outcomes are the
-   same at any pool size.  The one kernel with its own parallel path,
-   [Hom]'s root split (ucrdpq), declines to sub-split when called from a
-   worker ([Par.Pool.in_pool]) and searches sequentially inline —
-   batch-level parallelism wins over search-level, so instances fill
-   the domains and subtrees stay put. *)
+   same at any pool size.  This is the only parallelism a decide sees:
+   every kernel searches sequentially on whichever domain runs its
+   instance, so a batch pushes exactly one pool task per chunk. *)
 let decide_batch ?make_budget ?params ~lang insts =
   match find lang with
   | None ->

@@ -22,18 +22,17 @@
     {b Determinism.}  All combinators return results in input order, so
     a parallel map is observationally a sequential map of a pure
     function — which tasks were stolen and in what order is invisible in
-    the result.  Callers that need stronger guarantees (ordered effects,
-    deterministic fuel accounting) merge the results sequentially in
-    input order — see [Hom.search_violating].
+    the result.  The pool parallelizes requests, never the inside of one
+    search: in the library its callers are [Registry.decide_batch] and
+    the server's decide bodies, and every kernel runs sequentially on
+    whichever domain picks its task up.
 
     {b Nesting.}  A [run]/[map]/[submit] issued from inside a pool
     worker executes sequentially inline on that worker (counted by the
     [pool.nested_inline] obs counter) rather than publishing a nested
-    batch, so nested parallelism (e.g. a parallel kernel inside
-    [decide_batch]) degrades gracefully instead of deadlocking.  Kernels
-    can ask [Pool.in_pool] to decline speculative fan-out up front.
-    Batches opened by distinct non-worker threads are independent and
-    genuinely concurrent. *)
+    batch, so a task that itself opens a batch degrades gracefully
+    instead of deadlocking.  Batches opened by distinct non-worker
+    threads are independent and genuinely concurrent. *)
 
 module Deque : sig
   (** Single-owner Chase–Lev work-stealing deque.
@@ -78,14 +77,6 @@ module Pool : sig
       spawns the missing workers on the next parallel call; shrinking
       simply stops using the extras (idle workers cost nothing — they
       back off to a condition variable). *)
-
-  val in_pool : unit -> bool
-  (** [true] iff the calling domain is a pool worker, i.e. the current
-      code is already executing a pool task.  Kernels use this to
-      decline to sub-split: a nested [run] would inline anyway (see
-      {e Nesting} above), so speculative parallel shapes — which trade
-      redundant work for latency — should fall back to their sequential
-      form when this returns [true]. *)
 
   val run : (unit -> 'a) array -> 'a array
   (** Run the thunks, possibly in parallel, and return their results in

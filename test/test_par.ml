@@ -261,9 +261,11 @@ let qcheck_skewed_tasks =
         [ 2; 4; 8 ])
 
 let qcheck_skewed_deciders =
-  (* Same adversarial shape at the decider level: random instances,
-     verdict/certificate/fuel byte-identity across pool sizes 1/2/4/8
-     and across repeated runs. *)
+  (* At the decider level: random instances, verdict/certificate/fuel
+     byte-identity across pool sizes 1/2/4/8 and across repeated runs.
+     Every decider searches sequentially at any pool size; this pins
+     that nothing else the pool size touches (the per-graph caches
+     shared across domains included) leaks into a verdict. *)
   QCheck.Test.make ~name:"random instances: verdict bytes independent of pool"
     ~count:8
     QCheck.(int_range 100 10_000)
@@ -295,13 +297,18 @@ let pool_stat key =
   | Some v -> v
   | None -> Alcotest.failf "Pool.stats has no %S field" key
 
+(* Pool workers are spawned domains, so a task runs in the pool iff it
+   runs on a domain other than the test's own (the main domain, id 0). *)
 let test_in_pool () =
-  Alcotest.(check bool) "not in pool on the main domain" false (Pool.in_pool ());
+  let caller = Domain.self () in
+  Alcotest.(check int) "not in pool on the main domain" 0 (caller :> int);
   with_pool_size 4 @@ fun () ->
-  match Pool.submit [| (fun () -> Pool.in_pool ()) |] with
+  match Pool.submit [| Domain.self |] with
   | [| inside |] ->
-      Alcotest.(check bool) "submitted tasks run on pool workers" true inside;
-      Alcotest.(check bool) "still not in pool after" false (Pool.in_pool ())
+      Alcotest.(check bool) "submitted tasks run on pool workers" true
+        (inside <> caller);
+      Alcotest.(check bool) "still not in pool after" true
+        (Domain.self () = caller)
   | _ -> Alcotest.fail "submit of one task failed"
 
 let test_submit_order_and_errors () =
@@ -353,10 +360,11 @@ let test_nested_inline_counter () =
 
 let test_submit_size_one_inline () =
   with_pool_size 1 @@ fun () ->
-  match Pool.submit [| (fun () -> Pool.in_pool ()) |] with
+  let caller = Domain.self () in
+  match Pool.submit [| Domain.self |] with
   | [| inside |] ->
       Alcotest.(check bool) "size 1 runs submissions inline on the caller"
-        false inside
+        true (inside = caller)
   | _ -> Alcotest.fail "size-1 submit returned the wrong shape"
 
 (* ---------- budget domain-safety ---------- *)
@@ -380,43 +388,6 @@ let test_budget_concurrent_takes () =
   Alcotest.(check int) "used is exact after death" fuel (Budget.used b);
   Alcotest.(check bool) "exhausted and sticky" true (Budget.exhausted b);
   Alcotest.(check bool) "takes stay refused" false (Budget.take b)
-
-let test_budget_local_views () =
-  (* Unbounded fuel: local views claim chunks from the shared word and
-     every take succeeds. *)
-  let b = Budget.unlimited () in
-  let totals =
-    Array.map Domain.join
-      (Array.init 4 (fun _ ->
-           Domain.spawn (fun () ->
-               let l = Budget.local b in
-               let n = ref 0 in
-               for _ = 1 to 1000 do
-                 if Budget.take_local l then incr n
-               done;
-               !n)))
-  in
-  Alcotest.(check (array int))
-    "all local takes succeed on an unlimited budget"
-    [| 1000; 1000; 1000; 1000 |] totals;
-  (* Finite fuel: the view degrades to plain take — exact accounting. *)
-  let b = Budget.create ~fuel:100 () in
-  let l = Budget.local b in
-  let n = ref 0 in
-  while Budget.take_local l do
-    incr n
-  done;
-  Alcotest.(check int) "finite fuel stays exact through a view" 100 !n;
-  Alcotest.(check int) "used matches" 100 (Budget.used b)
-
-let test_budget_expired_deadline_local () =
-  let b = Budget.create ~deadline_s:0. () in
-  Unix.sleepf 0.002;
-  let l = Budget.local b in
-  Alcotest.(check bool)
-    "expired deadline refuses the first local take" false
-    (Budget.take_local l);
-  Alcotest.(check bool) "budget is dead" true (Budget.exhausted b)
 
 (* ---------- shared-cache hammer ---------- *)
 
@@ -679,30 +650,31 @@ let hom_repr (o : Hom.violation_outcome) =
   in
   Printf.sprintf "%s nodes=%d" r o.nodes_explored
 
+let thm35 f =
+  let r = Sat.build f in
+  (r.Sat.graph, r.Sat.target)
+
+(* All 8 clauses over 3 variables: unsatisfiable, so S is preserved;
+   136 nodes, so each table row spans 3 words. *)
+let thm35_all_clauses () =
+  thm35
+    (Cnf.make ~num_vars:3
+       (List.concat_map
+          (fun a ->
+            List.concat_map
+              (fun b -> List.map (fun c -> (a, b * 2, c * 3)) [ 1; -1 ])
+              [ 1; -1 ])
+          [ 1; -1 ]))
+
 (* The [Hom] violation search on the Theorem 35 reduction graphs and on
    the bench's hom graph, with and without a fuel cut.  Recorded on the
    per-pair constraint builder, before constraint tables were shared
    between variable pairs: they pin that sharing leaves the search's
    result, homomorphism, tuple and node count unchanged. *)
 let hom_golden_cases () =
-  let thm35 f =
-    let r = Sat.build f in
-    (r.Sat.graph, r.Sat.target)
-  in
   (* Satisfiable: the search finds a violating homomorphism. *)
   let g_sat, s_sat = thm35 (Cnf.random ~seed:1 ~num_vars:3 ~num_clauses:3 ()) in
-  (* All 8 clauses over 3 variables: unsatisfiable, so S is preserved;
-     136 nodes, so each table row spans 3 words. *)
-  let g_unsat, s_unsat =
-    thm35
-      (Cnf.make ~num_vars:3
-         (List.concat_map
-            (fun a ->
-              List.concat_map
-                (fun b -> List.map (fun c -> (a, b * 2, c * 3)) [ 1; -1 ])
-                [ 1; -1 ])
-            [ 1; -1 ]))
-  in
+  let g_unsat, s_unsat = thm35_all_clauses () in
   let gh =
     Gen.random ~seed:23 ~n:7 ~delta:3 ~labels:[ "a"; "b" ] ~density:0.35 ()
   in
@@ -806,6 +778,35 @@ let test_decide_batch_budgets () =
       | Error msg -> Alcotest.fail msg)
     results
 
+(* The pool parallelizes requests only: a kernel called on its own pushes
+   no pool task at any pool size, and a batch pushes one task per chunk
+   of instances, whichever domain ends up running each. *)
+let test_kernel_pushes_nothing () =
+  with_pool_size 2 @@ fun () ->
+  let g, s = thm35_all_clauses () in
+  let before = pool_stat "deque_push" in
+  Alcotest.(check string) "unlimited-fuel search on the main domain"
+    "preserved nodes=33" (hom_repr (Hom.search_violating g s));
+  Alcotest.(check int) "deque_push unchanged" before (pool_stat "deque_push")
+
+let test_decide_batch_pushes_chunks () =
+  with_pool_size 2 @@ fun () ->
+  let insts =
+    List.init 16 (fun i ->
+        let g, s =
+          thm35
+            (Cnf.random ~seed:(i + 1) ~num_vars:3 ~num_clauses:(2 + (i mod 2))
+               ())
+        in
+        Instance.create_exn g s)
+  in
+  let before = pool_stat "deque_push" in
+  List.iter
+    (function Ok _ -> () | Error msg -> Alcotest.fail msg)
+    (Registry.decide_batch ~lang:"ucrdpq" insts);
+  (* 16 instances at size 2: chunks of 1 + 15 / 8 = 2, so 8 tasks. *)
+  Alcotest.(check int) "one push per chunk" 8 (pool_stat "deque_push" - before)
+
 let test_decide_batch_unknown_lang () =
   let inst = Instance.of_binary fig1 s1 in
   match Registry.decide_batch ~lang:"datalog" [ inst; inst ] with
@@ -851,9 +852,6 @@ let () =
         [
           Alcotest.test_case "concurrent takes" `Quick
             test_budget_concurrent_takes;
-          Alcotest.test_case "local views" `Quick test_budget_local_views;
-          Alcotest.test_case "expired deadline via view" `Quick
-            test_budget_expired_deadline_local;
         ] );
       ( "caches",
         [ Alcotest.test_case "4-domain hammer" `Quick test_cache_hammer ] );
@@ -876,5 +874,9 @@ let () =
             test_decide_batch_budgets;
           Alcotest.test_case "unknown language" `Quick
             test_decide_batch_unknown_lang;
+          Alcotest.test_case "kernels push no pool task" `Quick
+            test_kernel_pushes_nothing;
+          Alcotest.test_case "one push per chunk" `Quick
+            test_decide_batch_pushes_chunks;
         ] );
     ]
