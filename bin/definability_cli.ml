@@ -787,7 +787,7 @@ let serve_cmd =
     Arg.(
       value & opt int 1024
       & info [ "cache-size" ] ~docv:"N"
-          ~doc:"Verdict-cache capacity (LRU entries).")
+          ~doc:"Verdict-cache capacity (LRU entries); also bounds the request-text memo.")
   in
   let store_arg =
     Arg.(

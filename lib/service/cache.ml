@@ -1,4 +1,5 @@
 module Data_graph = Datagraph.Data_graph
+module Graph_io = Datagraph.Graph_io
 module Tuple_relation = Datagraph.Tuple_relation
 module Outcome = Engine.Outcome
 module Instance = Engine.Instance
@@ -43,6 +44,12 @@ type t = {
   verdicts : entry Lru.t;
   durable : Tier.t option;
   graphs : Data_graph.t Lru.t;
+  (* Request text → what [probe] derives from it: the requester's own
+     parsed instance (a hit is rendered with the requester's node names,
+     which the interned graph may not carry) and its graph and instance
+     keys.  Keyed by [Content_hash.text_key], so every value is a pure
+     function of its key and never goes stale. *)
+  texts : (Data_graph.t * Tuple_relation.t * string * string) Lru.t;
   (* Per-cache event counts: the server renders them into its [stats]
      and [metrics] snapshot as [service.cache.<key>]. *)
   verdict_hits : int Atomic.t;
@@ -71,6 +78,7 @@ let create ?(config = default_config) ?durable () =
     verdicts = Lru.create ~capacity:config.verdict_capacity;
     durable;
     graphs = Lru.create ~capacity:config.graph_capacity;
+    texts = Lru.create ~capacity:config.verdict_capacity;
     verdict_hits = Atomic.make 0;
     verdict_misses = Atomic.make 0;
     store_hits = Atomic.make 0;
@@ -190,12 +198,12 @@ type pending = {
   probe_s : float;
 }
 
-let probe t ?(k = 1) ~lang g s =
-  let t0 = Unix.gettimeofday () in
-  let gkey, ikey =
-    Obs.Span.with_ "service.cache.hash" @@ fun () ->
-    Content_hash.keys ~lang ~k g s
-  in
+let hash_keys ~lang ~k g s =
+  Obs.Span.with_ "service.cache.hash" @@ fun () -> Content_hash.keys ~lang ~k g s
+
+(* The memory-tier lookup, on keys already computed; [t0] is when the
+   front half started. *)
+let lookup t ~t0 ~lang ~k g s ~gkey ~ikey =
   match Lru.find t.verdicts ikey with
   | Some e when unchecked_certificate t e = None ->
       Atomic.incr t.verdict_hits;
@@ -204,6 +212,32 @@ let probe t ?(k = 1) ~lang g s =
   | found ->
       `Pending
         { gkey; ikey; lang; k; g; s; found; probe_s = Unix.gettimeofday () -. t0 }
+
+let probe t ?(k = 1) ~lang g s =
+  let t0 = Unix.gettimeofday () in
+  let gkey, ikey = hash_keys ~lang ~k g s in
+  lookup t ~t0 ~lang ~k g s ~gkey ~ikey
+
+(* A repeat of a request text skips the parse and the canonical hash:
+   the text digest, under the same [service.cache.hash] span, stands in
+   for both.  A parse error is never memoized. *)
+let probe_text t ?(k = 1) ~lang text =
+  let t0 = Unix.gettimeofday () in
+  let tkey =
+    Obs.Span.with_ "service.cache.hash" @@ fun () ->
+    Content_hash.text_key ~lang ~k text
+  in
+  match Lru.find t.texts tkey with
+  | Some (g, s, gkey, ikey) -> Ok (g, lookup t ~t0 ~lang ~k g s ~gkey ~ikey)
+  | None -> (
+      match Graph_io.instance_of_string text with
+      | Error _ as e -> e
+      | Ok (g, s) ->
+          (* Time the cache's share, as [probe] does: not the parse. *)
+          let t0 = Unix.gettimeofday () in
+          let gkey, ikey = hash_keys ~lang ~k g s in
+          Lru.put t.texts tkey (g, s, gkey, ikey);
+          Ok (g, lookup t ~t0 ~lang ~k g s ~gkey ~ikey))
 
 let resolve_inner t ?fuel ?deadline_s p =
   let serve_miss () =
@@ -340,11 +374,14 @@ let counters t =
   @ [
       ("verdict_evictions", Lru.evictions t.verdicts);
       ("graph_evictions", Lru.evictions t.graphs);
+      ("text_hits", Lru.hits t.texts);
+      ("text_misses", Lru.misses t.texts);
     ]
 
 let gauges t =
   ("verdict_size", Lru.length t.verdicts)
   :: ("graph_size", Lru.length t.graphs)
+  :: ("text_size", Lru.length t.texts)
   ::
   (match t.durable with
   | None -> []

@@ -48,9 +48,14 @@
     hash and memory-tier lookup, nothing else.  It answers a hit on an
     entry that owes no check; everything else comes back as a
     {!pending} for {!resolve}, the back half, which runs the first-hit
-    check, probes the durable tier or decides.  The server runs
-    {!probe} on the connection's handler thread and only {!resolve} on
-    its domain pool.  {!decide} is the two halves in a row.
+    check, probes the durable tier or decides.  {!probe_text} is
+    {!probe} from the request's raw instance text: a third LRU, the
+    {b text memo} (sized like the verdict store), maps
+    {!Content_hash.text_key} to the parsed instance and its keys, so a
+    repeated text is neither parsed nor canonically hashed again.  The
+    server runs {!probe_text} on the connection's handler thread and
+    only {!resolve} on its domain pool.  {!decide} is {!probe} and
+    {!resolve} in a row.
 
     Concurrency: safe to call from any number of threads.  The LRU
     stores take their own locks; the decision itself runs outside any
@@ -113,6 +118,27 @@ val probe :
     off; it counts a verdict hit and times [cache.hit].  Never checks a
     certificate, reads the durable tier or decides, so it is cheap
     enough for a thread that must not block. *)
+
+val probe_text :
+  t ->
+  ?k:int ->
+  lang:string ->
+  string ->
+  ( Datagraph.Data_graph.t
+    * [ `Hit of Engine.Outcome.t * string | `Pending of pending ],
+    string )
+  result
+(** {!probe} on an instance given as text: the same answer, and the
+    same digest, as parsing the text and calling {!probe}.  The text's
+    {!Content_hash.text_key} is computed under the [service.cache.hash]
+    span and looked up in the text memo; only a memo miss parses the
+    text and hashes the instance, then remembers the parsed instance
+    and its keys.  The graph returned is the one parsed from {e this}
+    text (possibly on an earlier request with the same bytes), so a
+    verdict rendered with it shows the requester's node names — the
+    interned graph a hit was decided on may carry another requester's.
+    [Error] is the parser's message; a text that does not parse is
+    never memoized.  Counts [text_hits] and [text_misses]. *)
 
 val resolve :
   t ->
@@ -196,11 +222,11 @@ val counters : t -> (string * int) list
     [verdict_misses], [store_hits], [store_misses], [store_drops],
     [revalidation_ok], [revalidation_failures], [graph_hits],
     [graph_misses], [delta_repair_hits], [delta_repair_misses],
-    [verdict_evictions], [graph_evictions].  Counted per cache, always
-    on; the server publishes them in its [stats] and [metrics] snapshot
-    as [service.cache.<key>] — there is no second copy in the [Obs]
-    registry. *)
+    [verdict_evictions], [graph_evictions], [text_hits],
+    [text_misses].  Counted per cache, always on; the server publishes
+    them in its [stats] and [metrics] snapshot as [service.cache.<key>]
+    — there is no second copy in the [Obs] registry. *)
 
 val gauges : t -> (string * int) list
-(** Current readings: [verdict_size], [graph_size] — plus, with a
-    durable tier, {!Tier.stats} prefixed [store_]. *)
+(** Current readings: [verdict_size], [graph_size], [text_size] —
+    plus, with a durable tier, {!Tier.stats} prefixed [store_]. *)

@@ -99,3 +99,8 @@ let keys ~lang ~k g s =
   ( graph_key_of_bytes gbytes,
     digest
       (instance_bytes_of_parts ~lang ~k ~gbytes ~rbytes:(relation_bytes s)) )
+
+let text_key ~lang ~k text =
+  digest
+    (Printf.sprintf "defsvc-text/1\nlang %d:%s k %d\n%d:%s" (String.length lang)
+       lang k (String.length text) text)

@@ -87,3 +87,25 @@ val edit_bytes : Engine.Delta.graph_edit -> string
 
 val chain_key : parent:string -> Engine.Delta.graph_edit -> string
 (** 32-char hex digest of the parent key plus {!edit_bytes}. *)
+
+(** {2 Request-text keys}
+
+    A request's instance arrives as text, and both the router and the
+    owning shard need its {!instance_key}, which costs a parse and a
+    canonical serialization.  Both memoize that work under a digest of
+    the raw bytes, so a repeat of the same request text is placed and
+    looked up without parsing it. *)
+
+val text_key : lang:string -> k:int -> string -> string
+(** 32-char hex digest of the length-prefixed [lang], then [k], then
+    the raw instance text, under its own domain tag ([defsvc-text/1]),
+    so it can never equal a graph, instance or chained key.
+
+    Two spellings of one problem (renamed nodes, reordered lines, extra
+    whitespace or comments) get {e different} text keys and the same
+    instance key: a text key names bytes, not content.  That is why it
+    is only ever a memo key in memory, never persisted or sent on the
+    wire: every value memoized under it (the parsed instance, its
+    graph and instance keys) is a pure function of the key's input, so
+    a memo entry never goes stale, and its collision exposure is the
+    same MD5 the content keys rely on. *)

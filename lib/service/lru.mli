@@ -1,12 +1,12 @@
 (** A bounded, mutex-guarded LRU store with string keys.
 
-    Backs the service's verdict and graph caches.  Recency is tracked
-    with a monotone stamp per entry; eviction scans for the minimum
-    stamp, which is O(capacity) but only runs on insertion past the
-    bound — invisible next to the decision procedures the cache fronts,
-    and far simpler than an intrusive list.  All operations take the
-    store's own mutex, so one store can be shared by every connection
-    handler thread. *)
+    Backs the service's verdict, graph and request-text caches and the
+    router's routing memos.  Recency is a doubly-linked list threaded
+    through the entries, so [find], [put] (eviction included) and
+    [remove] are O(1): eviction sits on the miss path of every memo, so
+    it must not scan the store.  All operations take the store's own
+    mutex, so one store can be shared by every connection handler
+    thread. *)
 
 type 'a t
 

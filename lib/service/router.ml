@@ -1,3 +1,12 @@
+(* Placement state is two bounded memos, both sized by
+   [chain_capacity]: [chain] maps a delta's chained digest to the shard
+   that answered it, and [texts] maps a request text's
+   [Content_hash.text_key] to its instance digest, so a repeated decide
+   or batch item is placed without parsing or hashing its instance.
+   Neither holds a verdict, and no answer depends on either: a lost
+   [texts] entry costs one parse and hash, a lost [chain] entry falls
+   back to the ring. *)
+
 module Graph_io = Datagraph.Graph_io
 
 type config = {
@@ -34,6 +43,7 @@ type t = {
   shards : (string * Wire.address) list;
   ring : Ring.t;
   chain : string Lru.t;  (* chained digest -> shard name *)
+  texts : string Lru.t;  (* request text key -> instance digest *)
   health : (string, health) Hashtbl.t;
   health_mu : Mutex.t;
   addr : Wire.address;
@@ -72,6 +82,7 @@ let create ?(config = default_config) ~shards addr =
     shards;
     ring = Ring.create ~vnodes:config.vnodes (List.map fst shards);
     chain = Lru.create ~capacity:config.chain_capacity;
+    texts = Lru.create ~capacity:config.chain_capacity;
     health = Hashtbl.create 8;
     health_mu = Mutex.create ();
     addr;
@@ -89,10 +100,30 @@ let address t = t.addr
 let shard_names t = List.map fst t.shards
 let shard_addr t name = List.assoc name t.shards
 
+(* Placement of a digest that may be chained (a [delta]'s, a rebalanced
+   entry's).  An instance digest is never a chained one, so decides and
+   batch items go straight to [Ring.shard]. *)
 let shard_of_digest t digest =
   match Lru.find t.chain digest with
   | Some name -> name
   | None -> Ring.shard t.ring digest
+
+(* The instance digest of a decide's or a batch item's text — the key
+   the shard will answer with.  A text already seen is placed from the
+   memo, without parsing or hashing it; a parse error is never
+   memoized. *)
+let instance_digest t ~lang ~k text =
+  let k = Option.value k ~default:1 in
+  let tkey = Content_hash.text_key ~lang ~k text in
+  match Lru.find t.texts tkey with
+  | Some digest -> Ok digest
+  | None ->
+      Result.map
+        (fun (g, s) ->
+          let digest = Content_hash.instance_key ~lang ~k g s in
+          Lru.put t.texts tkey digest;
+          digest)
+        (Graph_io.instance_of_string text)
 
 let incr a = ignore (Atomic.fetch_and_add a 1)
 
@@ -288,6 +319,9 @@ let stats t =
       ("chain_hits", Lru.hits t.chain);
       ("chain_misses", Lru.misses t.chain);
       ("chain_evictions", Lru.evictions t.chain);
+      ("text_entries", Lru.length t.texts);
+      ("text_hits", Lru.hits t.texts);
+      ("text_misses", Lru.misses t.texts);
       ("forward_errors", Atomic.get t.n_forward_errors);
       ("forwarded", Atomic.get t.n_forwarded);
       ("rebalanced", Atomic.get t.n_rebalanced);
@@ -322,13 +356,10 @@ let forward_work t conns name oc ~(env : Wire.envelope) line =
   else forward t conns name line
 
 let handle_decide t conns oc line ~env ~lang ~k ~instance =
-  match Graph_io.instance_of_string instance with
+  match instance_digest t ~lang ~k instance with
   | Error msg -> respond oc (error_fields "decide" ("instance: " ^ msg))
-  | Ok (g, s) -> (
-      let digest =
-        Content_hash.instance_key ~lang ~k:(Option.value k ~default:1) g s
-      in
-      match forward_work t conns (shard_of_digest t digest) oc ~env line with
+  | Ok digest -> (
+      match forward_work t conns (Ring.shard t.ring digest) oc ~env line with
       | Ok reply -> relay oc reply
       | Error msg -> respond_error oc "decide" msg)
 
@@ -350,18 +381,12 @@ let handle_batch t conns oc ~env ~lang ~k ~fuel ~timeout_s ~instances =
   let placed =
     List.mapi
       (fun i text ->
-        let digest =
-          match Graph_io.instance_of_string text with
-          | Ok (g, s) ->
-              Some (Content_hash.instance_key ~lang ~k:(Option.value k ~default:1) g s)
-          | Error _ -> None
-        in
         (* Unparsable instances still go to a shard (the first), whose
            [decide_front] answers the parse error on the handler thread. *)
         let name =
-          match digest with
-          | Some d -> shard_of_digest t d
-          | None -> fst (List.hd t.shards)
+          match instance_digest t ~lang ~k text with
+          | Ok d -> Ring.shard t.ring d
+          | Error _ -> fst (List.hd t.shards)
         in
         (i, name, text))
       instances

@@ -2,7 +2,7 @@
     servers, placing requests by consistent hashing on {!Content_hash}
     digests.
 
-    The router holds no cache and decides nothing.  It parses each
+    The router holds no verdicts and decides nothing.  It reads each
     request just enough to find its digest, asks the {!Ring} which
     shard owns it, forwards the {e original} request line over a
     per-connection client to that shard, and relays the shard's
@@ -11,10 +11,15 @@
     included.
 
     Placement per op:
-    - [decide] — parse the instance, compute its {!Content_hash}
-      instance key (the digest the shard will answer with), route by
-      it.  Every repeat of the same problem lands on the same shard, so
-      shard caches partition the key space instead of duplicating it.
+    - [decide] — compute the instance's {!Content_hash} instance key
+      (the digest the shard will answer with) and route by it on the
+      ring.  Every repeat of the same problem lands on the same shard,
+      so shard caches partition the key space instead of duplicating
+      it.  A bounded {b text memo} maps {!Content_hash.text_key} of the
+      raw instance text to that key, so only the first sighting of a
+      request text parses and hashes it; a repeat costs one MD5 of the
+      text.  A text that does not parse is answered with an error here
+      and never memoized.
     - [delta] — route by the quoted digest.  A chained digest (the
       [Content_hash.chain_key] of an earlier delta) does not hash to
       its parent's shard, so the router remembers
@@ -22,8 +27,9 @@
       back; an entry that ages out simply falls back to the ring and a
       cold decide on the (wrong) shard — correctness never depends on
       the map.
-    - [batch] — split by per-instance placement, forward sub-batches,
-      reassemble results in request order.
+    - [batch] — split by per-instance placement (each item through the
+      text memo, as a [decide]), forward sub-batches, reassemble
+      results in request order.
     - [stats] — fan out, answer with the field-wise {e sum} over shards
       plus a per-shard breakdown and the router's own counters.
     - [compact] — fan out to every shard.
@@ -68,7 +74,9 @@
 
 type config = {
   vnodes : int;  (** ring points per shard (default 64) *)
-  chain_capacity : int;  (** chained-digest map size (default 4096) *)
+  chain_capacity : int;
+      (** size of the chained-digest map, and of the request-text memo
+          (default 4096) *)
   connect_retries : int;  (** per shard-connect (default 20) *)
   retry_backoff_s : float;  (** initial backoff (default 0.05 s) *)
   shard_timeout_s : float option;
@@ -98,8 +106,11 @@ val address : t -> Wire.address
 val shard_names : t -> string list
 
 val shard_of_digest : t -> string -> string
-(** Current placement of a digest (chained-digest map first, then the
-    ring) — exposed for tests and the CLI banner. *)
+(** Current placement of a digest that may be chained (chained-digest
+    map first, then the ring), as [delta] and {!rebalance} place — exposed
+    for tests and the CLI banner.  [decide] and [batch] place their
+    instance digests on the ring directly: an instance digest is never a
+    chained one. *)
 
 val rebalance : t -> ?limit:int -> unit -> (int, string) result
 (** One warm-transfer sweep: export up to [limit] (default 64) hot
@@ -116,5 +127,7 @@ val shutdown : t -> unit
 
 val stats : t -> (string * int) list
 (** The router's own counters: [forwarded], [forward_errors],
-    [requests], [chain_entries], [rebalanced], [shards],
-    [shards_unhealthy], [unavailable_fast_fails], [uptime_s]. *)
+    [requests], [chain_entries], [chain_hits], [chain_misses],
+    [chain_evictions], [text_entries], [text_hits], [text_misses],
+    [rebalanced], [shards], [shards_unhealthy],
+    [unavailable_fast_fails], [uptime_seconds], [started_at]. *)

@@ -1,4 +1,3 @@
-module Graph_io = Datagraph.Graph_io
 
 module Admission = struct
   (* A counting semaphore with a bounded wait queue and a draining
@@ -324,11 +323,14 @@ let service_fields ~queue_wait_s ~wall_s =
       ] )
 
 (* One instance through the cache, in two halves.  [decide_front] is
-   what a [decide] runs on the handler thread: parse, hash and a
-   memory-tier lookup ([Cache.probe]).  It answers a hit on an entry
-   whose certificate is already checked; anything else — the entry's
-   first check, a durable-tier probe, a decide — comes back as a body for
-   [pool_exec], which reuses the parsed instance and its keys.
+   what a [decide] runs on the handler thread: [Cache.probe_text], which
+   digests the request text, and only when the text memo has not seen
+   those bytes parses and hashes the instance; then a memory-tier
+   lookup.  It answers a hit on an entry whose certificate is already
+   checked, rendered with the graph parsed from this request's own text
+   (its node names); anything else — the entry's first check, a
+   durable-tier probe, a decide — comes back as a body for [pool_exec],
+   which reuses the parsed instance and its keys.
    [decide_one] runs both halves in place, for a batch item, which is a
    pool task from the start.  Both yield pre-rendered response fields
    for the per-instance object, plus the instance digest for the
@@ -343,17 +345,15 @@ let render_one g ~lang (outcome, origin, key) =
     key )
 
 let decide_front t ~lang ~k ~fuel ~timeout_s text =
-  match Graph_io.instance_of_string text with
+  match Cache.probe_text t.cache_ ?k ~lang text with
   | Error msg -> `Done (Error ("instance: " ^ msg))
-  | Ok (g, s) -> (
-      match Cache.probe t.cache_ ?k ~lang g s with
-      | `Hit (outcome, key) -> `Done (Ok (render_one g ~lang (outcome, `Hit, key)))
-      | `Pending p ->
-          `Pool
-            (fun () ->
-              let fuel, deadline_s = effective_budget t ~fuel ~timeout_s in
-              Result.map (render_one g ~lang)
-                (Cache.resolve t.cache_ ?fuel ?deadline_s p)))
+  | Ok (g, `Hit (outcome, key)) -> `Done (Ok (render_one g ~lang (outcome, `Hit, key)))
+  | Ok (g, `Pending p) ->
+      `Pool
+        (fun () ->
+          let fuel, deadline_s = effective_budget t ~fuel ~timeout_s in
+          Result.map (render_one g ~lang)
+            (Cache.resolve t.cache_ ?fuel ?deadline_s p))
 
 let decide_one t ~lang ~k ~fuel ~timeout_s text =
   match decide_front t ~lang ~k ~fuel ~timeout_s text with

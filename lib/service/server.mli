@@ -8,8 +8,10 @@
     never queue behind work, so the server answers [ping] while a
     long-budget [decide] is in flight.  Work ops ([decide], [batch],
     [delta], [sleep]) pass {e admission control} first.  For a
-    [decide] the handler thread then parses, hashes and looks the
-    instance up in the memory tier ({!Cache.probe}); a hit on an entry
+    [decide] the handler thread then digests the request text, parses
+    and hashes the instance only if the cache's text memo has not seen
+    those bytes, and looks it up in the memory tier
+    ({!Cache.probe_text}); a hit on an entry
     whose certificate is already checked is rendered and answered right
     there.  Only work that checks a certificate, reads the durable tier
     or decides is {e submitted to the shared [Par.Pool] domains},

@@ -100,6 +100,144 @@ let test_lru () =
   Lru.clear t;
   Alcotest.(check int) "cleared" 0 (Lru.length t)
 
+(* The LRU as it stood before recency became a linked list, kept as an
+   oracle: a stamp per entry, eviction by a scan for the minimum stamp.
+   The store must agree with it on every observable — what [find]
+   returns, [hot] order, [length], [hits], [misses] and [evictions] —
+   after every operation of a random sequence. *)
+module Lru_reference = struct
+  type 'a entry = { mutable stamp : int; value : 'a }
+
+  type 'a t = {
+    capacity : int;
+    table : (string, 'a entry) Hashtbl.t;
+    mutable tick : int;
+    mutable evicted : int;
+    mutable hit : int;
+    mutable miss : int;
+  }
+
+  let create ~capacity =
+    { capacity; table = Hashtbl.create 16; tick = 0; evicted = 0; hit = 0; miss = 0 }
+
+  let touch t e =
+    t.tick <- t.tick + 1;
+    e.stamp <- t.tick
+
+  let find t k =
+    match Hashtbl.find_opt t.table k with
+    | None ->
+        t.miss <- t.miss + 1;
+        None
+    | Some e ->
+        touch t e;
+        t.hit <- t.hit + 1;
+        Some e.value
+
+  let evict_lru t =
+    let victim =
+      Hashtbl.fold
+        (fun k e acc ->
+          match acc with
+          | Some (_, stamp) when stamp <= e.stamp -> acc
+          | _ -> Some (k, e.stamp))
+        t.table None
+    in
+    match victim with
+    | Some (k, _) ->
+        Hashtbl.remove t.table k;
+        t.evicted <- t.evicted + 1
+    | None -> ()
+
+  let put t k v =
+    if Hashtbl.mem t.table k then Hashtbl.remove t.table k
+    else if Hashtbl.length t.table >= t.capacity then evict_lru t;
+    let e = { stamp = 0; value = v } in
+    touch t e;
+    Hashtbl.add t.table k e
+
+  let remove t k = Hashtbl.remove t.table k
+
+  let hot t n =
+    let all = Hashtbl.fold (fun k e acc -> (e.stamp, k, e.value) :: acc) t.table [] in
+    let sorted = List.sort (fun (a, _, _) (b, _, _) -> compare b a) all in
+    List.filteri (fun i _ -> i < n) sorted |> List.map (fun (_, k, v) -> (k, v))
+
+  let clear t =
+    Hashtbl.reset t.table;
+    t.tick <- 0
+end
+
+type lru_op =
+  | Find of string
+  | Put of string * int
+  | Remove of string
+  | Hot of int
+  | Clear
+
+let show_lru_op = function
+  | Find k -> "find " ^ k
+  | Put (k, v) -> Printf.sprintf "put %s %d" k v
+  | Remove k -> "remove " ^ k
+  | Hot n -> Printf.sprintf "hot %d" n
+  | Clear -> "clear"
+
+let gen_lru_case =
+  let open QCheck.Gen in
+  let key = map (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) (int_bound 5) in
+  let op =
+    frequency
+      [
+        (5, map (fun k -> Find k) key);
+        (6, map2 (fun k v -> Put (k, v)) key (int_bound 99));
+        (2, map (fun k -> Remove k) key);
+        (1, map (fun n -> Hot n) (int_range (-1) 7));
+        (1, return Clear);
+      ]
+  in
+  pair (int_range 1 4) (list_size (int_range 0 60) op)
+
+let lru_agrees (capacity, ops) =
+  let t = Lru.create ~capacity and r = Lru_reference.create ~capacity in
+  let observe_t () = (Lru.length t, Lru.hits t, Lru.misses t, Lru.evictions t, Lru.hot t 8)
+  and observe_r () =
+    ( Hashtbl.length r.Lru_reference.table, r.hit, r.miss, r.evicted,
+      Lru_reference.hot r 8 )
+  in
+  List.for_all
+    (fun op ->
+      let same_result =
+        match op with
+        | Find k -> Lru.find t k = Lru_reference.find r k
+        | Put (k, v) ->
+            Lru.put t k v;
+            Lru_reference.put r k v;
+            true
+        | Remove k ->
+            Lru.remove t k;
+            Lru_reference.remove r k;
+            true
+        | Hot n -> Lru.hot t n = Lru_reference.hot r n
+        | Clear ->
+            Lru.clear t;
+            Lru_reference.clear r;
+            true
+      in
+      same_result && observe_t () = observe_r ())
+    ops
+
+let lru_model_props =
+  [
+    QCheck.Test.make ~name:"random operation sequences agree with the reference"
+      ~count:1000 ~long_factor:20
+      (QCheck.make
+         ~print:(fun (c, ops) ->
+           Printf.sprintf "capacity %d: %s" c
+             (String.concat "; " (List.map show_lru_op ops)))
+         gen_lru_case)
+      lru_agrees;
+  ]
+
 (* ---------- Content_hash ---------- *)
 
 let rename_nodes g =
@@ -306,6 +444,138 @@ let test_cache_eviction () =
     (match List.assoc_opt "verdict_evictions" (Cache.stats cache) with
     | Some n -> n >= 1
     | None -> false)
+
+(* ---------- text memo ----------
+   [Cache.probe_text] answers a request text through a memo keyed by
+   the text's digest.  It must be exact: the same digest, provenance and
+   verdict block as parsing the text afresh and calling [Cache.probe]. *)
+
+(* A random instance and several spellings of it.  Node names, token
+   separators, blank lines, comments and the order of the edge and
+   tuple lines vary; node lines keep their order, which fixes node
+   indices, and indices are what the content key observes. *)
+type spelled = { lang : string; k : int; texts : string list }
+
+let gen_spelled st =
+  let int n = Random.State.int st n in
+  let pick a = a.(int (Array.length a)) in
+  let shuffle l =
+    List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+  in
+  let n = 2 + int 3 in
+  let values = Array.init n (fun _ -> int 3) in
+  let edges =
+    List.sort_uniq compare
+      (List.init (int 7) (fun _ -> (int n, pick [| "a"; "b" |], int n)))
+  in
+  let tuples = List.sort_uniq compare (List.init (1 + int 3) (fun _ -> (int n, int n))) in
+  let lang, k = pick [| ("rpq", 1); ("rem", 1); ("krem", 2) |] in
+  let spell () =
+    let prefix = pick [| "v"; "n_"; "x'"; "node" |] in
+    let perm = Array.of_list (shuffle (List.init n Fun.id)) in
+    let name i = prefix ^ string_of_int perm.(i) in
+    let sep () = pick [| " "; "  "; "\t"; " \t " |] in
+    let line words =
+      (if Random.State.bool st then sep () else "")
+      ^ String.concat (sep ()) words
+      ^ if int 4 = 0 then sep () ^ "# trailing" else ""
+    in
+    let noise () = match int 5 with 0 -> [ "" ] | 1 -> [ "# a comment" ] | _ -> [] in
+    let nodes = List.init n (fun i -> line [ "node"; name i; string_of_int values.(i) ]) in
+    let rest =
+      shuffle
+        (List.map (fun (u, a, v) -> line [ "edge"; name u; a; name v ]) edges
+        @ List.map
+            (fun (u, v) -> line [ pick [| "tuple"; "pair" |]; name u; name v ])
+            tuples)
+    in
+    String.concat "\n" (List.concat_map (fun l -> noise () @ [ l ]) (nodes @ rest)) ^ "\n"
+  in
+  { lang; k; texts = List.init (2 + int 3) (fun _ -> spell ()) }
+
+let print_spelled c =
+  Printf.sprintf "lang %s k %d\n%s" c.lang c.k
+    (String.concat "----\n" c.texts)
+
+(* (digest, provenance, verdict block) of one request, finishing a
+   [`Pending] probe with [resolve]. *)
+let answer cache g ~lang = function
+  | `Hit (o, digest) -> (digest, "hit", Wire.verdict_to_string g ~lang o)
+  | `Pending p -> (
+      match Cache.resolve cache ~fuel:100_000 p with
+      | Ok (o, origin, digest) ->
+          ( digest,
+            (match origin with `Hit -> "hit" | `Miss -> "miss"),
+            Wire.verdict_to_string g ~lang o )
+      | Error m -> ("", "error: " ^ m, ""))
+
+let via_memo cache ~lang ~k text =
+  match Cache.probe_text cache ~k ~lang text with
+  | Error m -> ("", "parse: " ^ m, "")
+  | Ok (g, r) -> answer cache g ~lang r
+
+let via_parse cache ~lang ~k text =
+  match Io.instance_of_string text with
+  | Error m -> ("", "parse: " ^ m, "")
+  | Ok (g, s) -> answer cache g ~lang (Cache.probe cache ~k ~lang g s)
+
+let cache_stat cache name =
+  Option.value ~default:(-1) (List.assoc_opt name (Cache.stats cache))
+
+(* Every spelling twice, through a memoizing cache and through a cache
+   that parses every request: the two must answer alike, and the memo
+   must hold one entry per distinct text and hit on every repeat. *)
+let memo_agrees { lang; k; texts } =
+  let memo = Cache.create () and fresh = Cache.create () in
+  List.for_all
+    (fun text -> via_memo memo ~lang ~k text = via_parse fresh ~lang ~k text)
+    (texts @ texts)
+  && cache_stat memo "text_size" = List.length (List.sort_uniq compare texts)
+  && cache_stat memo "text_hits" >= List.length texts
+
+let text_memo_props =
+  [
+    QCheck.Test.make ~name:"memo path agrees with a fresh parse and probe"
+      ~count:300 ~long_factor:20
+      (QCheck.make ~print:print_spelled gen_spelled)
+      memo_agrees;
+  ]
+
+let s2_src = Io.instance_to_string fig1 s2
+
+let test_text_memo_lang_separation () =
+  let rem = Content_hash.text_key ~lang:"rem" ~k:1 s2_src
+  and krem = Content_hash.text_key ~lang:"krem" ~k:2 s2_src in
+  Alcotest.(check bool) "rem and krem k=2 keys differ" true (rem <> krem);
+  Alcotest.(check bool) "k is keyed" true
+    (krem <> Content_hash.text_key ~lang:"krem" ~k:1 s2_src);
+  Alcotest.(check bool) "a text key is never a content key" true
+    (rem <> Content_hash.instance_key ~lang:"rem" ~k:1 fig1 s2);
+  let cache = Cache.create () in
+  let d_rem, _, _ = via_memo cache ~lang:"rem" ~k:1 s2_src in
+  let d_krem, _, _ = via_memo cache ~lang:"krem" ~k:2 s2_src in
+  Alcotest.(check string) "rem digest"
+    (Content_hash.instance_key ~lang:"rem" ~k:1 fig1 s2) d_rem;
+  Alcotest.(check string) "krem digest"
+    (Content_hash.instance_key ~lang:"krem" ~k:2 fig1 s2) d_krem;
+  Alcotest.(check int) "two memo entries" 2 (cache_stat cache "text_size");
+  Alcotest.(check int) "no memo hit across languages" 0 (cache_stat cache "text_hits")
+
+let test_text_memo_parse_error () =
+  let cache = Cache.create () in
+  let bad = "node v1\n" in
+  let error () =
+    match Cache.probe_text cache ~lang:"rem" bad with
+    | Error m -> m
+    | Ok _ -> Alcotest.fail "an unparsable text probed"
+  in
+  let e1 = error () in
+  let e2 = error () in
+  Alcotest.(check string) "the parser's message"
+    (match Io.instance_of_string bad with Error m -> m | Ok _ -> "parsed")
+    e1;
+  Alcotest.(check string) "identical twice" e1 e2;
+  Alcotest.(check int) "the memo did not grow" 0 (cache_stat cache "text_size")
 
 (* ---------- Admission ---------- *)
 
@@ -1442,7 +1712,8 @@ let check_stats_metrics_agree conn =
     [
       "decides"; "deltas"; "batches"; "cache_verdict_hits";
       "cache_verdict_misses"; "cache_delta_repair_hits";
-      "cache_delta_repair_misses"; "pool_steal_success"; "pool_submitted";
+      "cache_delta_repair_misses"; "cache_text_hits"; "cache_text_misses";
+      "pool_steal_success"; "pool_submitted";
     ];
   let stat key = Option.value ~default:0 (List.assoc_opt key stats) in
   Alcotest.(check bool) "the hit was counted" true
@@ -1553,7 +1824,8 @@ let test_e2e_router_metrics_aggregation () =
                         (v >= 0)
                   | None -> Alcotest.failf "router stats missing %s" name)
                 [ "chain_entries"; "chain_hits"; "chain_misses";
-                  "chain_evictions"; "uptime_seconds"; "started_at";
+                  "chain_evictions"; "text_entries"; "text_hits";
+                  "text_misses"; "uptime_seconds"; "started_at";
                   "forwarded" ];
               match Json.member "shards" stats with
               | Some (Json.Obj shards) ->
@@ -1797,6 +2069,83 @@ let test_e2e_router_shard_unavailable () =
           | Some (Json.String "down") -> ()
           | _ -> Alcotest.fail "health map does not show ghost down"))
 
+(* ---------- the text memo end to end ---------- *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* Two spellings of one instance share one verdict entry, and each
+   response renders the requester's own node names — also when its
+   text is answered from the memo. *)
+let test_e2e_text_memo_own_names () =
+  let renamed_text = Io.instance_to_string (rename_nodes fig1) s2 in
+  with_server (fun addr _srv ->
+      Client.with_connection addr (fun conn ->
+          let rpq text = request_ok conn (decide_req ~lang:"rpq" text) in
+          let first = rpq s2_text in
+          let renamed = rpq renamed_text in
+          let again = rpq s2_text in
+          Alcotest.(check (list (option string))) "miss, then hits"
+            [ Some "miss"; Some "hit"; Some "hit" ]
+            (List.map (member_str "cache") [ first; renamed; again ]);
+          Alcotest.(check (option string)) "one digest" (member_str "digest" first)
+            (member_str "digest" renamed);
+          Alcotest.(check bool) "first shows its names" true
+            (contains (result_block first) "\"v1\"");
+          Alcotest.(check bool) "renamed shows its names" true
+            (contains (result_block renamed) "\"renamed0\""
+            && not (contains (result_block renamed) "\"v1\""));
+          Alcotest.(check string) "a memo hit renders like the first answer"
+            (result_block first) (result_block again);
+          Alcotest.(check int) "one verdict entry" 1 (stat conn "cache_verdict_size");
+          Alcotest.(check int) "two memoized texts" 2 (stat conn "cache_text_size");
+          Alcotest.(check int) "one memo hit" 1 (stat conn "cache_text_hits")))
+
+let test_e2e_text_memo_parse_error () =
+  let bad = decide_req "node v1\n" in
+  let check_twice conn =
+    let e1 = request_ok conn bad in
+    let e2 = request_ok conn bad in
+    Alcotest.(check (option string)) "an error" (Some "error") (member_str "status" e1);
+    Alcotest.(check string) "identical twice" (Json.to_string e1) (Json.to_string e2)
+  in
+  with_server (fun addr _srv ->
+      Client.with_connection addr (fun conn ->
+          check_twice conn;
+          Alcotest.(check int) "the shard memo did not grow" 0
+            (stat conn "cache_text_size")));
+  with_sharded_cluster ~store:false (fun ~router ~s0:_ ~s1:_ addr ->
+      Client.with_connection addr (fun conn ->
+          check_twice conn;
+          Alcotest.(check (option int)) "the router memo did not grow" (Some 0)
+            (List.assoc_opt "text_entries" (Service.Router.stats router))))
+
+(* Decides and batch items are placed on the ring without consulting the
+   chained-digest map, and the router parses each text once. *)
+let test_e2e_router_text_memo () =
+  with_sharded_cluster ~store:false (fun ~router ~s0:_ ~s1:_ addr ->
+      Client.with_connection addr (fun conn ->
+          let stat name =
+            match List.assoc_opt name (Service.Router.stats router) with
+            | Some v -> v
+            | None -> Alcotest.failf "router stats missing %s" name
+          in
+          let chain () = stat "chain_hits" + stat "chain_misses" in
+          let before = chain () in
+          let first = request_ok conn (decide_req s2_text) in
+          let again = request_ok conn (decide_req s2_text) in
+          ignore (request_ok conn (batch_req [ s2_text; s3_text ]));
+          Alcotest.(check int) "the chain map was not consulted" before (chain ());
+          Alcotest.(check (option string)) "a repeat hits its shard" (Some "hit")
+            (member_str "cache" again);
+          Alcotest.(check (option string)) "same digest" (member_str "digest" first)
+            (member_str "digest" again);
+          Alcotest.(check int) "two texts memoized" 2 (stat "text_entries");
+          Alcotest.(check int) "first sightings parsed" 2 (stat "text_misses");
+          Alcotest.(check int) "repeats placed from the memo" 2 (stat "text_hits")))
+
 let () =
   Alcotest.run "service"
     [
@@ -1809,6 +2158,7 @@ let () =
           ("to_int", `Quick, test_json_to_int);
         ] );
       ("lru", [ ("semantics", `Quick, test_lru) ]);
+      ("lru model", List.map QCheck_alcotest.to_alcotest lru_model_props);
       ( "content_hash",
         [
           ("node-name invariance", `Quick, test_hash_name_invariance);
@@ -1829,6 +2179,12 @@ let () =
            test_cache_revalidation_off_serves_seed);
           ("eviction", `Quick, test_cache_eviction);
         ] );
+      ( "text memo",
+        List.map QCheck_alcotest.to_alcotest text_memo_props
+        @ [
+            ("rem and krem k=2 keyed apart", `Quick, test_text_memo_lang_separation);
+            ("parse errors never memoized", `Quick, test_text_memo_parse_error);
+          ] );
       ( "admission",
         [
           ("overload", `Quick, test_admission_overload);
@@ -1875,6 +2231,7 @@ let () =
            test_e2e_router_shard_unavailable);
           ("export/import/compact", `Quick, test_e2e_export_import_compact);
           ("rebalance", `Quick, test_e2e_rebalance);
+          ("text memo and ring placement", `Quick, test_e2e_router_text_memo);
         ] );
       ( "observability",
         [
@@ -1896,5 +2253,9 @@ let () =
           ("seeded entry checked once", `Quick,
            test_e2e_seeded_entry_checked_once);
           ("inline hit observed", `Quick, test_e2e_inline_hit_observed);
+          ("memo hits render the requester's names", `Quick,
+           test_e2e_text_memo_own_names);
+          ("unparsable texts: same error, no memo", `Quick,
+           test_e2e_text_memo_parse_error);
         ] );
     ]
