@@ -726,11 +726,7 @@ let serve_cmd =
         queue_depth;
         default_fuel = fuel;
         default_deadline_s = timeout;
-        cache =
-          {
-            Service.Server.default_config.cache with
-            Service.Cache.verdict_capacity = cache_size;
-          };
+        cache = { Service.Cache.verdict_capacity = cache_size };
         store_dir = store;
         fsync;
         auto_compact_bytes = auto_compact;
@@ -796,8 +792,9 @@ let serve_cmd =
       & info [ "store" ] ~docv:"DIR"
           ~doc:
             "Durable verdict store directory (created if missing).  The \
-             store is recovered on startup — every record's certificate is \
-             re-checked — and verdicts survive restarts.")
+             store is recovered on startup and verdicts survive restarts; a \
+             stored certificate is checked on its first hit, like any cached \
+             one.")
   in
   let fsync_arg =
     Arg.(

@@ -17,8 +17,8 @@
     - [store.append.corrupt] — flip one byte of the framed record
       before it reaches the file (position and mask hashed).
     - [store.append.torn] — write only a prefix of the frame (a torn
-      write; recovery truncates to the valid prefix, a live reader is
-      saved by the certificate re-check).
+      write; recovery truncates to the valid prefix, a live read fails
+      the frame CRC and reads as "not stored").
     - [store.fsync.skip] — silently skip a requested fsync (a lying
       disk; only observable across a crash).
     - [server.admit.overload] — shed an admission as if the gate were

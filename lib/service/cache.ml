@@ -6,14 +6,13 @@ module Instance = Engine.Instance
 module Budget = Engine.Budget
 module Registry = Engine.Registry
 
-type config = {
-  verdict_capacity : int;
-  graph_capacity : int;
-  revalidate : bool;
-}
+type config = { verdict_capacity : int }
 
-let default_config =
-  { verdict_capacity = 1024; graph_capacity = 256; revalidate = true }
+let default_config = { verdict_capacity = 1024 }
+
+(* The graph intern table's bound.  Interned graphs only share derived
+   artifacts between requests; a verdict entry pins its own graph. *)
+let interned_graphs = 256
 
 (* The memory tier's entry: the instance is stored alongside the outcome
    so the certificate can be checked without re-validating and
@@ -36,11 +35,10 @@ type entry = {
   checked : bool Atomic.t;
 }
 
-let entry ?(checked = false) ~lang ~k inst outcome =
-  { outcome; inst; lang; k; checked = Atomic.make checked }
+let entry ~lang ~k inst outcome =
+  { outcome; inst; lang; k; checked = Atomic.make false }
 
 type t = {
-  config : config;
   verdicts : entry Lru.t;
   durable : Tier.t option;
   graphs : Data_graph.t Lru.t;
@@ -74,10 +72,9 @@ let h_miss = Obs.Histogram.make "cache.miss"
 
 let create ?(config = default_config) ?durable () =
   {
-    config;
     verdicts = Lru.create ~capacity:config.verdict_capacity;
     durable;
-    graphs = Lru.create ~capacity:config.graph_capacity;
+    graphs = Lru.create ~capacity:interned_graphs;
     texts = Lru.create ~capacity:config.verdict_capacity;
     verdict_hits = Atomic.make 0;
     verdict_misses = Atomic.make 0;
@@ -161,13 +158,11 @@ let drop t key =
 
 (* The certificate an entry still owes its one check, if any (see
    [entry]). *)
-let unchecked_certificate t e =
-  if t.config.revalidate && not (Atomic.get e.checked) then
-    Outcome.certificate e.outcome
-  else None
+let unchecked_certificate e =
+  if Atomic.get e.checked then None else Outcome.certificate e.outcome
 
 let check_entry t e =
-  match unchecked_certificate t e with
+  match unchecked_certificate e with
   | None -> Ok ()
   | Some cert -> (
       match
@@ -205,7 +200,7 @@ let hash_keys ~lang ~k g s =
    front half started. *)
 let lookup t ~t0 ~lang ~k g s ~gkey ~ikey =
   match Lru.find t.verdicts ikey with
-  | Some e when unchecked_certificate t e = None ->
+  | Some e when unchecked_certificate e = None ->
       Atomic.incr t.verdict_hits;
       Obs.Histogram.record_s h_hit (Unix.gettimeofday () -. t0);
       `Hit (e.outcome, ikey)
@@ -337,8 +332,9 @@ let insert t ?(k = 1) ~lang g s outcome =
 
 (* Warm transfer: the most recently used memory-tier entries, encoded in
    the tier record format (hex on the wire).  [import] is the mirror —
-   decode, certificate-check, and write through both tiers, so a
-   transferred entry is indistinguishable from a locally decided one. *)
+   decode, run the first-hit check, and write through both tiers, so a
+   transferred entry is indistinguishable from a locally decided one
+   that has been hit once. *)
 let export_hot t ~limit =
   List.map
     (fun (key, (e : entry)) ->
@@ -348,12 +344,15 @@ let export_hot t ~limit =
     (Lru.hot t.verdicts limit)
 
 let import t ~key raw =
-  match Tier.decode ~check:true raw with
+  match Tier.decode raw with
   | Error _ as e -> e
-  | Ok { Tier.lang; k; inst; outcome } ->
-      (* [decode ~check:true] has just checked the certificate. *)
-      store t key (entry ~checked:true ~lang ~k inst outcome);
-      Ok ()
+  | Ok { Tier.lang; k; inst; outcome } -> (
+      let e = entry ~lang ~k inst outcome in
+      match check_entry t e with
+      | Error msg -> Error ("certificate check: " ^ msg)
+      | Ok () ->
+          store t key e;
+          Ok ())
 
 let counters t =
   List.map

@@ -39,6 +39,13 @@
     and recomputed.
     Without a durable tier the cache behaves exactly as before.
 
+    {b One rule for stored verdicts.}  Bytes are guarded by the store's
+    frame CRC, checked on every read ({!Store.Log}); meaning is guarded
+    by the first-hit certificate check here, and by nothing else.
+    Every entry — decided, seeded, promoted from the store, or
+    imported — starts unchecked and passes through the same check
+    before it is served; recovery checks no certificate.
+
     Node {e names} are not part of the cache key (see {!Content_hash}),
     and outcomes carry node indices, not names — render a cached outcome
     with the requesting graph and the response shows the requester's
@@ -65,11 +72,9 @@
     those rare races for never blocking a request behind another's. *)
 
 type config = {
-  verdict_capacity : int;  (** max cached outcomes (default 1024) *)
-  graph_capacity : int;  (** max interned graphs (default 256) *)
-  revalidate : bool;
-      (** check each cached certificate once, on the entry's first hit,
-          before serving it (default [true]); [false] never checks *)
+  verdict_capacity : int;
+      (** max cached outcomes, and max memoized request texts (default
+          1024); the graph intern table holds at most 256 graphs *)
 }
 
 val default_config : config
@@ -114,8 +119,8 @@ val probe :
 (** The front half of {!decide}: hash the instance (under the
     [service.cache.hash] span) and look it up in the memory tier only.
     [`Hit (outcome, digest)] for an entry that owes no certificate
-    check — already checked, carrying no certificate, or [revalidate]
-    off; it counts a verdict hit and times [cache.hit].  Never checks a
+    check — already checked, or carrying no certificate; it counts a
+    verdict hit and times [cache.hit].  Never checks a
     certificate, reads the durable tier or decides, so it is cheap
     enough for a thread that must not block. *)
 
@@ -209,10 +214,11 @@ val export_hot : t -> limit:int -> (string * string) list
 
 val import : t -> key:string -> string -> (unit, string) result
 (** Admit one encoded record (from {!export_hot}, possibly via another
-    process): decode, re-check its certificate, and write it through
-    both tiers as an already-checked entry, so its first hit skips the
-    check.  [Error] on a record that does not validate — a corrupt or
-    hostile transfer is refused, never stored. *)
+    process): decode it, run the same certificate check a first hit
+    runs (counted in [revalidation_ok] / [revalidation_failures]), and
+    write it through both tiers as an already-checked entry.  [Error]
+    on a record that does not decode or whose certificate does not
+    check — a corrupt or hostile transfer is refused, never stored. *)
 
 val stats : t -> (string * int) list
 (** {!counters} and {!gauges} together, sorted by name. *)

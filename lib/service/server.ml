@@ -561,9 +561,8 @@ let handle_batch t oc ~env ~lang ~k ~fuel ~timeout_s texts =
                  its decide there, parse and hash included (on this
                  thread they would run item after item before any task
                  was submitted, which measured slower on batches of
-                 misses): batch items fill idle domains (batch-level parallelism is the easy
-                 published win — the kernels inside each decide decline
-                 to sub-split while on a worker).  A failed instance
+                 misses): batch items fill idle domains, and each
+                 decide is one sequential search.  A failed instance
                  yields a per-item error object instead of failing the
                  batch; results come back in input order, so the
                  response is byte-identical to the sequential form. *)

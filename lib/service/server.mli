@@ -98,8 +98,8 @@ type config = {
   cache : Cache.config;
   store_dir : string option;
       (** durable-tier directory; [None] (default) = memory only.  The
-          store is recovered on {!create} (certificates re-checked) and
-          closed after {!run}'s drain. *)
+          store is recovered on {!create} and closed after {!run}'s
+          drain. *)
   fsync : Store.Log.fsync_policy;  (** default [Every 64] *)
   auto_compact_bytes : int;
       (** compact when the log outgrows this (0 = manual, the default) *)

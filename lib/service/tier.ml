@@ -37,7 +37,9 @@ let has_magic raw =
   String.length raw > String.length magic
   && String.sub raw 0 (String.length magic) = magic
 
-let decode ?(check = true) raw =
+(* Structure only: the certificate is the cache's to check, once, on
+   the entry's first hit. *)
+let decode raw =
   if not (has_magic raw) then Error "tier record: bad or missing version header"
   else
     match
@@ -50,19 +52,8 @@ let decode ?(check = true) raw =
         | Ok (g, s) -> (
             match Instance.create g s with
             | Error msg -> Error ("tier record: stored instance: " ^ msg)
-            | Ok inst -> (
-                let e =
-                  { lang = p.p_lang; k = p.p_k; inst; outcome = p.p_outcome }
-                in
-                if not check then Ok e
-                else
-                  match Outcome.certificate p.p_outcome with
-                  | None -> Ok e
-                  | Some cert -> (
-                      match Outcome.check_certificate inst cert with
-                      | Ok () -> Ok e
-                      | Error msg ->
-                          Error ("tier record: certificate re-check: " ^ msg)))))
+            | Ok inst ->
+                Ok { lang = p.p_lang; k = p.p_k; inst; outcome = p.p_outcome }))
 
 let to_hex s =
   let b = Buffer.create (2 * String.length s) in
@@ -94,32 +85,21 @@ let of_hex s =
 
 type t = Store.Log.t
 
-let open_ ?fsync ?auto_compact_bytes dir =
-  let check ~key:_ value = Result.is_ok (decode ~check:true value) in
-  Store.Log.open_ ?fsync ?auto_compact_bytes ~check dir
+let open_ = Store.Log.open_
 
 let find t key =
   match Store.Log.find t key with
   | None -> None
   | Some raw -> (
-      match decode ~check:false raw with
+      match decode raw with
       | Ok e -> Some e
       | Error _ ->
-          (* Unreachable after a checked recovery unless the file was
-             damaged under a live store; drop and recompute. *)
+          (* Intact bytes that do not decode: a record from an older
+             build.  Drop it and recompute. *)
           Store.Log.remove t key;
           None)
 
-let find_raw = Store.Log.find
 let put t key e = Store.Log.put t key (encode e)
-
-let put_raw t key raw =
-  match decode ~check:true raw with
-  | Error _ as e -> e
-  | Ok _ ->
-      Store.Log.put t key raw;
-      Ok ()
-
 let remove = Store.Log.remove
 let compact = Store.Log.compact
 let sync = Store.Log.sync

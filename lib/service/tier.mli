@@ -20,13 +20,15 @@
     bytes round-trip exactly and a warm hit renders the verdict block
     byte-identical to the cold decide that produced it.
 
-    {b Recovery invariant.}  [Marshal] bytes are trusted only inside a
-    CRC-valid frame {e and} only after {!decode} rebuilds the instance
-    and re-checks the carried certificate — the [check] hook this module
-    installs into {!Store.Log.open_}.  A record that fails any of those
-    steps is dropped at recovery (counted in the store's
-    [recovery_dropped_check]) and the verdict is recomputed on the next
-    request: corruption degrades to work, never to a wrong answer. *)
+    {b Recovery invariant.}  Each layer checks what it owns, once.
+    {!Store.Log} checks the frame CRC on every read, so the bytes
+    handed to {!decode} are the bytes that were written.  {!decode}
+    checks structure only: the version header, the [Marshal]
+    round-trip and the instance re-parse.  The certificate is checked
+    by {!Cache}, once per entry, on its first hit.  Recovery therefore
+    replays frames and nothing more; a record that fails a later check
+    is dropped and its verdict recomputed on the next request:
+    corruption degrades to work, never to a wrong answer. *)
 
 type entry = {
   lang : string;
@@ -41,10 +43,9 @@ type entry = {
 
 val encode : entry -> string
 
-val decode : ?check:bool -> string -> (entry, string) result
-(** Decode and validate: version header, [Marshal] round-trip, instance
-    re-parse, and (with [check], the default) certificate re-check on
-    the rebuilt instance. *)
+val decode : string -> (entry, string) result
+(** Decode and validate the structure: version header, [Marshal]
+    round-trip, instance re-parse.  The certificate is not checked. *)
 
 val to_hex : string -> string
 val of_hex : string -> (string, string) result
@@ -55,22 +56,15 @@ type t
 
 val open_ :
   ?fsync:Store.Log.fsync_policy -> ?auto_compact_bytes:int -> string -> t
-(** Open (and recover) the store directory; every record surviving
-    recovery has had its certificate re-checked. *)
+(** Open (and recover) the store directory: {!Store.Log.open_}. *)
 
 val find : t -> string -> entry option
-(** Decoded without the certificate re-check: the memory tier above
-    promotes the entry unchecked and checks it on its first hit, so
-    one check per promoted entry is enough. *)
-
-val find_raw : t -> string -> string option
-(** The encoded record, for [export]. *)
+(** The decoded record, certificate unchecked: the memory tier above
+    promotes the entry unchecked and checks it on its first hit.  A
+    record that does not decode (a stale version header, say) is
+    removed from the store and reads as [None]. *)
 
 val put : t -> string -> entry -> unit
-val put_raw : t -> string -> string -> (unit, string) result
-(** [put_raw] validates (including the certificate check) before
-    writing — the [import] path for records that crossed a socket. *)
-
 val remove : t -> string -> unit
 val compact : t -> unit
 val sync : t -> unit

@@ -28,16 +28,15 @@ let fsync_policy_of_string s =
         | _ -> bad ()
       else bad ()
 
-(* Where a live value sits: which file, the offset of the value bytes,
-   and their length.  The key itself lives in the index, so [find]
-   never re-reads it. *)
-type location = { in_snapshot : bool; off : int; len : int }
+(* Where a live value sits: which file, and the offset of its frame.
+   Every read re-reads the whole frame and checks its CRC, so the bytes
+   a reader gets are the bytes that were framed. *)
+type location = { in_snapshot : bool; off : int }
 
 type t = {
   dir : string;
   fsync : fsync_policy;
   auto_compact_bytes : int;
-  check : key:string -> string -> bool;
   index : (string, location) Hashtbl.t;
   mutable log_write : Unix.file_descr;
   mutable log_read : Unix.file_descr;
@@ -50,7 +49,6 @@ type t = {
   mutable fsyncs : int;
   mutable compactions : int;
   mutable recovered : int;
-  mutable dropped_check : int;
   mutable truncated_bytes : int;
   m : Mutex.t;
 }
@@ -93,32 +91,42 @@ let read_exactly fd b off len =
   in
   go off len
 
-(* Scan the framed records of [fd] from the start, calling [f] for each
-   valid one; stops at the first frame that fails a sanity or CRC check
-   and returns the byte offset of the end of the valid prefix. *)
+(* The one frame parser, shared by recovery and every read: the frame
+   at the current offset of [fd] as [Some (kind, key, value, frame_len)]
+   when its length, CRC and body layout all check out, [None] when any
+   of them does not (including a frame cut short by the end of file). *)
+let read_frame fd =
+  let header = Bytes.create header_len in
+  if not (read_exactly fd header 0 header_len) then None
+  else
+    let blen = u32_at header 0 and crc = u32_at header 4 in
+    if blen < 5 || blen > max_body then None
+    else
+      let body = Bytes.create blen in
+      if not (read_exactly fd body 0 blen) then None
+      else if Crc32.digest_bytes body 0 blen <> crc then None
+      else
+        let kind = Bytes.get body 0 and klen = u32_at body 1 in
+        if (kind <> 'P' && kind <> 'D') || klen > blen - 5 then None
+        else
+          Some
+            ( kind,
+              Bytes.sub_string body 5 klen,
+              Bytes.sub_string body (5 + klen) (blen - 5 - klen),
+              header_len + blen )
+
+(* Scan the framed records of [fd] from the start, calling [f] with each
+   valid one and its frame offset; stops at the first frame that fails
+   [read_frame] and returns the byte offset of the end of the valid
+   prefix. *)
 let scan fd f =
   ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-  let header = Bytes.create header_len in
   let rec go pos =
-    if not (read_exactly fd header 0 header_len) then pos
-    else
-      let blen = u32_at header 0 and crc = u32_at header 4 in
-      if blen < 5 || blen > max_body then pos
-      else
-        let body = Bytes.create blen in
-        if not (read_exactly fd body 0 blen) then pos
-        else if Crc32.digest_bytes body 0 blen <> crc then pos
-        else
-          let kind = Bytes.get body 0 in
-          let klen = u32_at body 1 in
-          if (kind <> 'P' && kind <> 'D') || klen < 0 || klen > blen - 5 then
-            pos
-          else begin
-            let key = Bytes.sub_string body 5 klen in
-            let value = Bytes.sub_string body (5 + klen) (blen - 5 - klen) in
-            f ~kind ~key ~value ~value_off:(pos + header_len + 5 + klen);
-            go (pos + header_len + blen)
-          end
+    match read_frame fd with
+    | None -> pos
+    | Some (kind, key, _value, frame_len) ->
+        f ~kind ~key ~off:pos;
+        go (pos + frame_len)
   in
   go 0
 
@@ -141,8 +149,7 @@ let do_fsync t fd =
     t.fsyncs <- t.fsyncs + 1
   end
 
-let open_ ?(fsync = Every 64) ?(auto_compact_bytes = 0)
-    ?(check = fun ~key:_ _ -> true) dir =
+let open_ ?(fsync = Every 64) ?(auto_compact_bytes = 0) dir =
   (match Unix.mkdir dir 0o755 with
   | () -> ()
   | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -160,7 +167,6 @@ let open_ ?(fsync = Every 64) ?(auto_compact_bytes = 0)
       dir;
       fsync;
       auto_compact_bytes;
-      check;
       index = Hashtbl.create 256;
       log_write;
       log_read;
@@ -173,23 +179,16 @@ let open_ ?(fsync = Every 64) ?(auto_compact_bytes = 0)
       fsyncs = 0;
       compactions = 0;
       recovered = 0;
-      dropped_check = 0;
       truncated_bytes = 0;
-    m = Mutex.create ();
+      m = Mutex.create ();
     }
   in
-  (* Recovery.  Both files replay through the same scanner; a put that
-     fails [check] counts as a delete of its key — the caller recomputes
-     it instead of ever serving it. *)
-  let replay ~in_snapshot ~kind ~key ~value ~value_off =
+  (* Recovery.  Both files replay through the same scanner, which
+     checks every frame's CRC; nothing else is checked here.  A value is
+     checked again, frame and all, each time it is read. *)
+  let replay ~in_snapshot ~kind ~key ~off =
     if kind = 'D' then Hashtbl.remove t.index key
-    else if check ~key value then
-      Hashtbl.replace t.index key
-        { in_snapshot; off = value_off; len = String.length value }
-    else begin
-      t.dropped_check <- t.dropped_check + 1;
-      Hashtbl.remove t.index key
-    end
+    else Hashtbl.replace t.index key { in_snapshot; off }
   in
   (match snap_read with
   | None -> ()
@@ -211,7 +210,12 @@ let open_ ?(fsync = Every 64) ?(auto_compact_bytes = 0)
   t.recovered <- Hashtbl.length t.index;
   t
 
-let read_value t loc =
+(* The value at [loc], if its frame still checks out and is a put of
+   [key].  Damage of any kind — flipped bits, a torn write that left the
+   file shorter than the index believes, an offset that no longer lands
+   on the right frame — reads as "not stored": the caller recomputes,
+   it never sees a wrong value, and [compact] never re-seals one. *)
+let read_value t ~key loc =
   let fd =
     if loc.in_snapshot then
       match t.snap_read with
@@ -220,20 +224,9 @@ let read_value t loc =
     else t.log_read
   in
   ignore (Unix.lseek fd loc.off Unix.SEEK_SET);
-  let b = Bytes.create loc.len in
-  if not (read_exactly fd b 0 loc.len) then
-    invalid_arg "Store.Log: short read (truncated file under a live store?)";
-  Bytes.unsafe_to_string b
-
-(* A location that cannot be read back (a torn write left the file
-   shorter than the index believes) degrades to "not stored": the entry
-   is dropped and the caller recomputes — never a crash, never a wrong
-   value.  Damaged-but-readable bytes are the check callback's problem
-   (Tier re-checks certificates on decode). *)
-let read_value_opt t loc =
-  match read_value t loc with
-  | v -> Some v
-  | exception Invalid_argument _ -> None
+  match read_frame fd with
+  | Some ('P', key', value, _) when key' = key -> Some value
+  | _ -> None
 
 let find t key =
   locked t (fun () ->
@@ -241,7 +234,7 @@ let find t key =
       match Hashtbl.find_opt t.index key with
       | None -> None
       | Some loc -> (
-          match read_value_opt t loc with
+          match read_value t ~key loc with
           | Some _ as v -> v
           | None ->
               Hashtbl.remove t.index key;
@@ -276,9 +269,8 @@ let append t ~kind ~key ~value =
          short, before the bytes reach the file.  Either way the
          in-memory index keeps accounting as if the append succeeded —
          the damage is only discoverable by a reader, which is the
-         safety property under test: the CRC frame (recovery) and the
-         certificate re-check (live reads) must degrade the damage to a
-         recompute, never serve it as a verdict. *)
+         safety property under test: the CRC check on every read must
+         degrade the damage to a recompute, never serve it. *)
       if Fault.Failpoint.armed () then begin
         if Fault.Failpoint.fire "store.append.corrupt" then begin
           let salt = Fault.Failpoint.salt "store.append.corrupt" in
@@ -294,23 +286,26 @@ let append t ~kind ~key ~value =
         else write_all t.log_write b
       end
       else write_all t.log_write b;
-      let value_off = t.log_bytes + header_len + 5 + String.length key in
+      let off = t.log_bytes in
       t.log_bytes <- t.log_bytes + Bytes.length b;
       after_append t;
-      value_off)
+      off)
+
+(* Every live binding whose frame still reads back. *)
+let live_bindings t =
+  Hashtbl.fold
+    (fun key loc acc ->
+      match read_value t ~key loc with
+      | Some value -> (key, value) :: acc
+      | None -> acc)
+    t.index []
 
 (* Rewrite the live set to a fresh snapshot (temp file + rename, synced
-   before and after), then empty the log.  Runs with the lock held. *)
+   before and after), then empty the log.  Runs with the lock held.  A
+   binding whose frame no longer reads back is dropped, not re-framed. *)
 let compact_locked t =
   let tmp = Filename.concat t.dir "snapshot.tmp" in
-  let live =
-    Hashtbl.fold
-      (fun key loc acc ->
-        match read_value_opt t loc with
-        | Some value -> (key, value) :: acc
-        | None -> acc)
-      t.index []
-  in
+  let live = live_bindings t in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   let relocated = Hashtbl.create (List.length live) in
   let pos = ref 0 in
@@ -321,12 +316,7 @@ let compact_locked t =
         (fun (key, value) ->
           let b = frame ~kind:'P' ~key ~value in
           write_all fd b;
-          Hashtbl.replace relocated key
-            {
-              in_snapshot = true;
-              off = !pos + header_len + 5 + String.length key;
-              len = String.length value;
-            };
+          Hashtbl.replace relocated key { in_snapshot = true; off = !pos };
           pos := !pos + Bytes.length b)
         live;
       do_fsync t fd);
@@ -355,9 +345,8 @@ let maybe_auto_compact t =
 let put t key value =
   locked t (fun () ->
       alive t;
-      let value_off = append t ~kind:'P' ~key ~value in
-      Hashtbl.replace t.index key
-        { in_snapshot = false; off = value_off; len = String.length value };
+      let off = append t ~kind:'P' ~key ~value in
+      Hashtbl.replace t.index key { in_snapshot = false; off };
       maybe_auto_compact t)
 
 let remove t key =
@@ -373,12 +362,7 @@ let iter t f =
   locked t (fun () ->
       alive t;
       (* Snapshot the bindings first: [f] must not observe the lock. *)
-      Hashtbl.fold
-        (fun key loc acc ->
-          match read_value_opt t loc with
-          | Some value -> (key, value) :: acc
-          | None -> acc)
-        t.index [])
+      live_bindings t)
   |> List.iter (fun (key, value) -> f key value)
 
 let sync t =
@@ -414,7 +398,6 @@ let stats t =
           ("live_records", Hashtbl.length t.index);
           ("log_bytes", t.log_bytes);
           ("recovered_records", t.recovered);
-          ("recovery_dropped_check", t.dropped_check);
           ("recovery_truncated_bytes", t.truncated_bytes);
           ("snapshot_bytes", t.snapshot_bytes);
         ])

@@ -13,19 +13,26 @@
 
     ['P'] puts (or overwrites) [key]; ['D'] deletes it (the value is
     empty).  The in-memory index maps each live key to the file offset
-    of its value bytes, so [find] is one seek + read and memory use is
+    of its frame, so [find] is one seek + read and memory use is
     O(keys), not O(values).
 
+    {b Integrity: one rule.}  The frame CRC is the store's only check on
+    its bytes, and every read makes it: recovery, {!find}, {!iter} and
+    {!compact} all parse frames through one parser that checks length,
+    CRC and body layout.  A frame that fails reads as "not stored":
+    [find] drops the key from the index and answers [None], [iter]
+    skips it, and [compact] leaves it out of the new snapshot, so a
+    damaged value is never served and never re-sealed under a fresh
+    CRC.  What a value {e means} is the caller's business; the store
+    never interprets it.
+
     {b Recovery.}  Opening replays the snapshot and then the log,
-    stopping at the {e first} frame whose header, length or CRC does not
-    check out — everything after a torn write is unreachable garbage by
-    construction, so the log is truncated back to the last valid frame
-    (counted in [recovery_truncated_bytes]).  Each recovered put is then
-    passed to the [check] callback; a record that fails (e.g. a stored
-    certificate that no longer re-checks) is dropped as if deleted,
-    counted in [recovery_dropped_check].  A crash can therefore lose the
-    suffix of unsynced appends but can never surface a corrupt value:
-    the caller re-computes exactly what recovery dropped.
+    stopping at the {e first} frame that fails the check — everything
+    after a torn write is unreachable garbage by construction, so the
+    log is truncated back to the last valid frame (counted in
+    [recovery_truncated_bytes]).  A crash can therefore lose the suffix
+    of unsynced appends but can never surface a corrupt value: the
+    caller re-computes exactly what recovery dropped.
 
     {b Durability.}  [fsync_policy] trades write latency for the size of
     that losable suffix: [Always] syncs after every append, [Every n]
@@ -50,19 +57,17 @@ val fsync_policy_of_string : string -> (fsync_policy, string) result
 
 type t
 
-val open_ :
-  ?fsync:fsync_policy ->
-  ?auto_compact_bytes:int ->
-  ?check:(key:string -> string -> bool) ->
-  string ->
-  t
+val open_ : ?fsync:fsync_policy -> ?auto_compact_bytes:int -> string -> t
 (** [open_ dir] creates [dir] if missing and recovers the store in it.
     [fsync] defaults to [Every 64]; [auto_compact_bytes] to [0] (manual
-    compaction only); [check] to [fun ~key:_ _ -> true].
+    compaction only).
     @raise Unix.Unix_error when the directory or files cannot be
     created/read. *)
 
 val find : t -> string -> string option
+(** The value last put under the key, if its frame still checks out;
+    [None] (and the key forgotten) if it does not. *)
+
 val mem : t -> string -> bool
 
 val put : t -> string -> string -> unit
@@ -73,14 +78,15 @@ val remove : t -> string -> unit
 (** Appends a delete record (no-op when the key is absent). *)
 
 val iter : t -> (string -> string -> unit) -> unit
-(** Visit every live binding (order unspecified).  The callback must not
-    reenter the store. *)
+(** Visit every live binding whose frame checks out (order
+    unspecified).  The callback must not reenter the store. *)
 
 val length : t -> int
 val sync : t -> unit
 
 val compact : t -> unit
-(** Rewrite the live set as a fresh snapshot and empty the log. *)
+(** Rewrite the live set as a fresh snapshot and empty the log.  A
+    binding whose frame no longer checks out is dropped. *)
 
 val close : t -> unit
 (** Sync and close; idempotent.  Every other operation raises
@@ -88,8 +94,8 @@ val close : t -> unit
 
 val stats : t -> (string * int) list
 (** Sorted: [appends], [compactions], [fsyncs], [live_records],
-    [log_bytes], [recovered_records], [recovery_dropped_check],
-    [recovery_truncated_bytes], [snapshot_bytes]. *)
+    [log_bytes], [recovered_records], [recovery_truncated_bytes],
+    [snapshot_bytes]. *)
 
 val disk_bytes : t -> int
 (** [snapshot_bytes + log_bytes] — what the store occupies on disk. *)

@@ -421,20 +421,8 @@ let test_cache_revalidation_drops_bogus_entries () =
   Alcotest.(check (option int)) "failure counted" (Some 1)
     (List.assoc_opt "revalidation_failures" (Cache.stats cache))
 
-let test_cache_revalidation_off_serves_seed () =
-  let config = { Cache.default_config with Cache.revalidate = false } in
-  let cache = Cache.create ~config () in
-  let o_s2, _ = cache_decide cache ~lang:"rem" fig1 s2 in
-  (match Cache.insert cache ~lang:"rem" fig1 s3 o_s2 with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg);
-  let o, origin = cache_decide cache ~lang:"rem" fig1 s3 in
-  Alcotest.(check bool) "served without revalidation" true (origin = `Hit);
-  Alcotest.(check string) "the seeded outcome" (verdict_repr o_s2)
-    (verdict_repr o)
-
 let test_cache_eviction () =
-  let config = { Cache.default_config with Cache.verdict_capacity = 1 } in
+  let config = { Cache.verdict_capacity = 1 } in
   let cache = Cache.create ~config () in
   let _ = cache_decide cache ~lang:"rem" fig1 s2 in
   let _ = cache_decide cache ~lang:"rem" fig1 s3 in
@@ -1014,7 +1002,7 @@ let test_tier_codec () =
   in
   let entry = { Tier.lang = "rem"; k = 1; inst; outcome = o } in
   let raw = Tier.encode entry in
-  (match Tier.decode ~check:true raw with
+  (match Tier.decode raw with
   | Error msg -> Alcotest.failf "decode failed: %s" msg
   | Ok e ->
       Alcotest.(check string) "lang" "rem" e.Tier.lang;
@@ -1025,9 +1013,9 @@ let test_tier_codec () =
     (Tier.of_hex (Tier.to_hex raw) = Ok raw);
   (* Corrupt bytes are rejected, not trusted. *)
   Alcotest.(check bool) "garbage refused" true
-    (Result.is_error (Tier.decode ~check:true "defv1\ngarbage"));
+    (Result.is_error (Tier.decode "defv1\ngarbage"));
   Alcotest.(check bool) "wrong magic refused" true
-    (Result.is_error (Tier.decode ~check:true ("XX" ^ raw)))
+    (Result.is_error (Tier.decode ("XX" ^ raw)))
 
 let test_cache_write_through_and_promotion () =
   let dir = fresh_store_dir () in
@@ -1071,11 +1059,84 @@ let test_cache_restart_byte_identical () =
     (Wire.verdict_to_string fig1 ~lang:"rem" o_warm);
   Cache.close cache
 
+(* A durable record whose certificate does not check on its own
+   instance: recovery keeps it (it checks frames, not certificates), its
+   first hit refuses it, and the recomputed verdict replaces it. *)
+let test_tier_bogus_record_dropped_on_first_hit () =
+  let dir = fresh_store_dir () in
+  let tier = Tier.open_ dir in
+  let cache = Cache.create ~durable:tier () in
+  let o_s2, _ = cache_decide cache ~lang:"rem" fig1 s2 in
+  (* S2's outcome stored under S3's key, with S3's instance: its
+     certificate defines S2, so it fails on the record's own instance. *)
+  let inst_s3 =
+    match Engine.Instance.create fig1 s3 with
+    | Ok i -> i
+    | Error msg -> Alcotest.fail msg
+  in
+  let key_s3 = Content_hash.instance_key ~lang:"rem" ~k:1 fig1 s3 in
+  Tier.put tier key_s3
+    { Tier.lang = "rem"; k = 1; inst = inst_s3; outcome = o_s2 };
+  Cache.close cache;
+  let tier = Tier.open_ dir in
+  Alcotest.(check int) "recovery checks no certificate" 2 (Tier.length tier);
+  let cache = Cache.create ~durable:tier () in
+  let o, origin = cache_decide cache ~lang:"rem" fig1 s3 in
+  Alcotest.(check bool) "bogus record answered as a miss" true (origin = `Miss);
+  Alcotest.(check bool) "recomputed verdict differs from the record" true
+    (verdict_repr o <> verdict_repr o_s2);
+  let stat name = List.assoc_opt name (Cache.stats cache) in
+  Alcotest.(check (option int)) "failure counted" (Some 1)
+    (stat "revalidation_failures");
+  Alcotest.(check (option int)) "removed from the store" (Some 1)
+    (stat "store_drops");
+  (match Tier.find tier key_s3 with
+  | Some e ->
+      Alcotest.(check string) "the store now holds the recomputed verdict"
+        (verdict_repr o) (verdict_repr e.Tier.outcome)
+  | None -> Alcotest.fail "recomputed verdict not written through");
+  Cache.close cache
+
+(* A record written by a build with another version header: intact
+   frame, undecodable payload.  It loads at recovery, is dropped by its
+   first [find], and the verdict is recomputed. *)
+let test_tier_stale_magic_dropped () =
+  let dir = fresh_store_dir () in
+  let inst =
+    match Engine.Instance.create fig1 s2 with
+    | Ok i -> i
+    | Error msg -> Alcotest.fail msg
+  in
+  let o_cold =
+    match Engine.Registry.decide ~lang:"rem" inst with
+    | Ok o -> o
+    | Error msg -> Alcotest.fail msg
+  in
+  let raw = Tier.encode { Tier.lang = "rem"; k = 1; inst; outcome = o_cold } in
+  let stale = "defv0\n" ^ String.sub raw 6 (String.length raw - 6) in
+  let key = Content_hash.instance_key ~lang:"rem" ~k:1 fig1 s2 in
+  let log = Store.Log.open_ dir in
+  Store.Log.put log key stale;
+  Store.Log.close log;
+  let tier = Tier.open_ dir in
+  Alcotest.(check int) "recovered" 1 (Tier.length tier);
+  Alcotest.(check bool) "first find drops it" true
+    (Option.is_none (Tier.find tier key));
+  Alcotest.(check int) "gone from the store" 0 (Tier.length tier);
+  let cache = Cache.create ~durable:tier () in
+  let o, origin = cache_decide cache ~lang:"rem" fig1 s2 in
+  Alcotest.(check bool) "recomputed" true (origin = `Miss);
+  Alcotest.(check string) "same verdict block as the cold decide"
+    (Wire.verdict_to_string fig1 ~lang:"rem" o_cold)
+    (Wire.verdict_to_string fig1 ~lang:"rem" o);
+  Alcotest.(check int) "written back" 1 (Tier.length tier);
+  Cache.close cache
+
 let test_cache_eviction_backstopped_by_store () =
   (* With a 1-entry memory tier, an evicted verdict survives in the
      durable tier and comes back as a hit, not a recompute. *)
   let dir = fresh_store_dir () in
-  let config = { Cache.default_config with Cache.verdict_capacity = 1 } in
+  let config = { Cache.verdict_capacity = 1 } in
   let cache = Cache.create ~config ~durable:(Tier.open_ dir) () in
   let _ = cache_decide cache ~lang:"rem" fig1 s2 in
   let _ = cache_decide cache ~lang:"rem" fig1 s3 in
@@ -2175,8 +2236,6 @@ let () =
           ("Unknown never cached", `Quick, test_cache_unknown_not_cached);
           ("revalidation drops bogus entries", `Quick,
            test_cache_revalidation_drops_bogus_entries);
-          ("revalidation off serves the seed", `Quick,
-           test_cache_revalidation_off_serves_seed);
           ("eviction", `Quick, test_cache_eviction);
         ] );
       ( "text memo",
@@ -2214,6 +2273,10 @@ let () =
            test_cache_restart_byte_identical);
           ("eviction backstopped by store", `Quick,
            test_cache_eviction_backstopped_by_store);
+          ("bogus record dropped on first hit", `Quick,
+           test_tier_bogus_record_dropped_on_first_hit);
+          ("stale version header dropped on find", `Quick,
+           test_tier_stale_magic_dropped);
         ] );
       ("ring", [ ("deterministic placement", `Quick, test_ring_deterministic) ]);
       ( "client",

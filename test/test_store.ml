@@ -1,8 +1,10 @@
 (* The durable store: CRC framing, put/remove/overwrite semantics,
    snapshot + compaction, the fsync policy syntax, recovery across
-   reopen, the check callback, and — the property that matters — that a
-   log truncated or corrupted at an arbitrary byte offset recovers
-   exactly a prefix of the valid records: no crash, no wrong value. *)
+   reopen, and — the property that matters — that a log truncated or
+   corrupted at an arbitrary byte offset recovers exactly a prefix of
+   the valid records, and that a store damaged while open never serves
+   or re-seals a value that was not written: no crash, no wrong
+   value. *)
 
 module Log = Store.Log
 
@@ -24,8 +26,8 @@ let fresh_dir =
     end;
     dir
 
-let with_store ?fsync ?auto_compact_bytes ?check dir f =
-  let t = Log.open_ ?fsync ?auto_compact_bytes ?check dir in
+let with_store ?fsync ?auto_compact_bytes dir f =
+  let t = Log.open_ ?fsync ?auto_compact_bytes dir in
   Fun.protect ~finally:(fun () -> Log.close t) (fun () -> f t)
 
 let stat t name =
@@ -125,34 +127,25 @@ let test_fsync_policy_syntax () =
       | Ok _ -> Alcotest.failf "accepted %S" s)
     [ ""; "every"; "every:"; "every:0"; "every:x"; "sometimes" ]
 
-let test_check_drops_bad_records () =
-  let dir = fresh_dir () in
-  with_store dir (fun t ->
-      Log.put t "good" "valid";
-      Log.put t "bad" "poison");
-  (* Reopen with a check that rejects the poisoned value: the record is
-     dropped as if deleted, the rest load normally. *)
-  with_store ~check:(fun ~key:_ v -> v <> "poison") dir (fun t ->
-      Alcotest.(check (option string)) "good survives" (Some "valid")
-        (Log.find t "good");
-      Alcotest.(check (option string)) "bad dropped" None (Log.find t "bad");
-      Alcotest.(check int) "drop counted" 1 (stat t "recovery_dropped_check"))
-
 (* ---------- recovery under corruption (QCheck) ---------- *)
 
 (* Write [n] records with deterministic contents, then flip one byte (or
    truncate) at an arbitrary offset of log.bin.  Recovery must yield
    exactly a prefix of the records (later puts of the same key winning),
-   and never a value that was not written. *)
+   and never a value that was not written.  When the bytes are damaged
+   under a live store instead, reads and compaction run before any
+   recovery does: whatever they serve, and whatever survives the
+   reopen, must still be a value that was written. *)
 
 let record_key i = Printf.sprintf "key-%d" (i mod 7)
 let record_value i = Printf.sprintf "value-%d-%s" i (String.make (i mod 13) 'v')
 
-let write_records dir n =
-  with_store ~fsync:Log.Never dir (fun t ->
-      for i = 0 to n - 1 do
-        Log.put t (record_key i) (record_value i)
-      done)
+let put_records t n =
+  for i = 0 to n - 1 do
+    Log.put t (record_key i) (record_value i)
+  done
+
+let write_records dir n = with_store ~fsync:Log.Never dir (fun t -> put_records t n)
 
 (* The live map after the first [p] records. *)
 let expected_prefix p =
@@ -174,32 +167,83 @@ let recovered_is_valid_prefix ~n t =
   let rec scan p = p >= 0 && (serves p || scan (p - 1)) in
   scan n
 
+(* Every value [t] serves, by [find] or [iter], was put under its key
+   by one of the first [n] records. *)
+let serves_only_written ~n t =
+  let written k v =
+    List.exists
+      (fun i -> record_key i = k && record_value i = v)
+      (List.init n Fun.id)
+  in
+  let found_ok =
+    List.for_all
+      (fun i ->
+        match Log.find t (record_key i) with
+        | None -> true
+        | Some v -> written (record_key i) v)
+      (List.init (min n 7) Fun.id)
+  in
+  let iter_ok = ref true in
+  Log.iter t (fun k v -> if not (written k v) then iter_ok := false);
+  found_ok && !iter_ok
+
+(* What happens between the damage and the reopen. *)
+type live_step =
+  | Closed  (** the store is closed first: recovery is the first reader *)
+  | Find  (** live [find]s of every key and an [iter] *)
+  | Compact  (** a live [compact] *)
+  | Find_then_compact
+
+let live_step_name = function
+  | Closed -> "closed"
+  | Find -> "find"
+  | Compact -> "compact"
+  | Find_then_compact -> "find+compact"
+
 let corruption_case =
-  (* (record count, corruption offset seed, flip-vs-truncate) *)
-  QCheck.triple (QCheck.int_range 1 40) QCheck.small_nat QCheck.bool
+  (* (record count, corruption offset seed, flip-vs-truncate, live step) *)
+  QCheck.quad (QCheck.int_range 1 40) (QCheck.int_bound 1_000_000) QCheck.bool
+    (QCheck.make
+       ~print:live_step_name
+       (QCheck.Gen.oneofl [ Closed; Find; Compact; Find_then_compact ]))
+
+let damage_log dir ~off_seed ~truncate =
+  let log = Filename.concat dir "log.bin" in
+  let size = (Unix.stat log).Unix.st_size in
+  QCheck.assume (size > 0);
+  let off = off_seed mod size in
+  if truncate then Unix.truncate log off
+  else
+    let fd = Unix.openfile log [ Unix.O_RDWR ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        ignore (Unix.lseek fd off Unix.SEEK_SET);
+        let b = Bytes.create 1 in
+        ignore (Unix.read fd b 0 1);
+        Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xFF));
+        ignore (Unix.lseek fd off Unix.SEEK_SET);
+        ignore (Unix.write fd b 0 1))
 
 let test_corrupted_log_recovers_prefix =
-  QCheck.Test.make ~name:"corrupted log recovers a valid prefix" ~count:150
-    corruption_case (fun (n, off_seed, truncate) ->
+  QCheck.Test.make ~name:"corrupted log recovers a valid prefix" ~count:600
+    corruption_case (fun (n, off_seed, truncate, step) ->
       let dir = fresh_dir () in
-      write_records dir n;
-      let log = Filename.concat dir "log.bin" in
-      let size = (Unix.stat log).Unix.st_size in
-      QCheck.assume (size > 0);
-      let off = off_seed mod size in
-      (if truncate then Unix.truncate log off
-       else
-         let fd = Unix.openfile log [ Unix.O_RDWR ] 0 in
-         Fun.protect
-           ~finally:(fun () -> Unix.close fd)
-           (fun () ->
-             ignore (Unix.lseek fd off Unix.SEEK_SET);
-             let b = Bytes.create 1 in
-             ignore (Unix.read fd b 0 1);
-             Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xFF));
-             ignore (Unix.lseek fd off Unix.SEEK_SET);
-             ignore (Unix.write fd b 0 1)));
-      with_store dir (fun t -> recovered_is_valid_prefix ~n t))
+      match step with
+      | Closed ->
+          write_records dir n;
+          damage_log dir ~off_seed ~truncate;
+          with_store dir (fun t -> recovered_is_valid_prefix ~n t)
+      | Find | Compact | Find_then_compact ->
+          let live_ok =
+            with_store ~fsync:Log.Never dir (fun t ->
+                put_records t n;
+                damage_log dir ~off_seed ~truncate;
+                let found_ok = step = Compact || serves_only_written ~n t in
+                if step <> Find then Log.compact t;
+                found_ok && serves_only_written ~n t)
+          in
+          live_ok && with_store dir (serves_only_written ~n))
 
 let test_double_corruption_reopen =
   (* After recovery truncates, a second open must be clean: recovery is
@@ -241,7 +285,6 @@ let () =
           ("compaction", `Quick, test_compaction);
           ("auto compaction", `Quick, test_auto_compaction);
           ("fsync policy syntax", `Quick, test_fsync_policy_syntax);
-          ("check drops bad records", `Quick, test_check_drops_bad_records);
         ] );
       ( "recovery",
         List.map QCheck_alcotest.to_alcotest
