@@ -28,12 +28,12 @@ let matches_path e w =
 
 let defines g e s = Relation.equal (eval g e) s
 
-let pp ppf = function
-  | Rpq e -> Regexp.Regex.pp ppf e
-  | Rem e -> Rem_lang.Rem.pp ppf e
-  | Ree e -> Ree_lang.Ree.pp ppf e
+let to_string = function
+  | Rpq e -> Regexp.Regex.to_string e
+  | Rem e -> Rem_lang.Rem.to_string e
+  | Ree e -> Ree_lang.Ree.to_string e
 
-let to_string e = Format.asprintf "%a" pp e
+let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 let parse ~lang s =
   match lang with

@@ -38,22 +38,38 @@ let rec size = function
 
 let equal = ( = )
 
-let rec pp_prec prec ppf t =
-  let paren p body =
-    if prec > p then Format.fprintf ppf "(%t)" body else body ppf
+let rec add_prec b prec t =
+  let paren open_ body =
+    if open_ then begin
+      Buffer.add_char b '(';
+      body ();
+      Buffer.add_char b ')'
+    end
+    else body ()
   in
   match t with
-  | Eps -> Format.pp_print_string ppf "eps"
-  | Letter a -> Format.pp_print_string ppf a
+  | Eps -> Buffer.add_string b "eps"
+  | Letter a -> Buffer.add_string b a
   | Concat (t1, t2) ->
-      paren 1 (fun ppf ->
-          Format.fprintf ppf "%a %a" (pp_prec 1) t1 (pp_prec 2) t2)
-  | EqTest t1 -> paren 2 (fun ppf -> Format.fprintf ppf "%a=" (pp_prec 3) t1)
+      paren (prec > 1) (fun () ->
+          add_prec b 1 t1;
+          Buffer.add_char b ' ';
+          add_prec b 2 t2)
+  | EqTest t1 ->
+      paren (prec > 2) (fun () ->
+          add_prec b 3 t1;
+          Buffer.add_char b '=')
   | NeqTest t1 ->
-      paren 2 (fun ppf -> Format.fprintf ppf "%a!=" (pp_prec 3) t1)
+      paren (prec > 2) (fun () ->
+          add_prec b 3 t1;
+          Buffer.add_string b "!=")
 
-let pp = pp_prec 0
-let to_string t = Format.asprintf "%a" pp t
+let to_string t =
+  let b = Buffer.create 64 in
+  add_prec b 0 t;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let concat_of = function
   | [] -> Eps

@@ -9,26 +9,47 @@ type t =
 
 let equal = ( = )
 
-(* Precedence for printing: union 0, concat 1, iteration 2, atom 3. *)
-let rec pp_prec prec ppf e =
-  let paren p body =
-    if prec > p then Format.fprintf ppf "(%t)" body else body ppf
+(* Precedence for printing: union 0, concat 1, iteration 2, atom 3.
+   The printer writes into one [Buffer], not through [Format]: a
+   certificate is rendered on every cache hit. *)
+let rec add_prec b prec e =
+  let paren open_ body =
+    if open_ then begin
+      Buffer.add_char b '(';
+      body ();
+      Buffer.add_char b ')'
+    end
+    else body ()
   in
   match e with
-  | Empty -> Format.pp_print_string ppf "empty"
-  | Eps -> Format.pp_print_string ppf "eps"
-  | Letter a -> Format.pp_print_string ppf a
+  | Empty -> Buffer.add_string b "empty"
+  | Eps -> Buffer.add_string b "eps"
+  | Letter a -> Buffer.add_string b a
   | Union (e1, e2) ->
-      paren 0 (fun ppf ->
-          Format.fprintf ppf "%a | %a" (pp_prec 1) e1 (pp_prec 0) e2)
+      paren (prec > 0) (fun () ->
+          add_prec b 1 e1;
+          Buffer.add_string b " | ";
+          add_prec b 0 e2)
   | Concat (e1, e2) ->
-      paren 1 (fun ppf ->
-          Format.fprintf ppf "%a . %a" (pp_prec 1) e1 (pp_prec 2) e2)
-  | Plus e1 -> paren 2 (fun ppf -> Format.fprintf ppf "%a+" (pp_prec 3) e1)
-  | Star e1 -> paren 2 (fun ppf -> Format.fprintf ppf "%a*" (pp_prec 3) e1)
+      paren (prec > 1) (fun () ->
+          add_prec b 1 e1;
+          Buffer.add_string b " . ";
+          add_prec b 2 e2)
+  | Plus e1 ->
+      paren (prec > 2) (fun () ->
+          add_prec b 3 e1;
+          Buffer.add_char b '+')
+  | Star e1 ->
+      paren (prec > 2) (fun () ->
+          add_prec b 3 e1;
+          Buffer.add_char b '*')
 
-let pp = pp_prec 0
-let to_string e = Format.asprintf "%a" pp e
+let to_string e =
+  let b = Buffer.create 64 in
+  add_prec b 0 e;
+  Buffer.contents b
+
+let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 let union_of = function
   | [] -> Empty

@@ -24,24 +24,37 @@ let registers blocks =
 
 let length = List.length
 
-let pp ppf blocks =
-  match blocks with
-  | [] -> Format.pp_print_string ppf "eps"
-  | _ ->
-      Format.pp_print_list
-        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-        (fun ppf b ->
-          (match b.bind with
-          | [] -> ()
-          | rs ->
-              Format.fprintf ppf "@@{%s} "
-                (String.concat ","
-                   (List.map (fun r -> Printf.sprintf "r%d" (r + 1)) rs)));
-          if b.cond = Condition.True then Format.fprintf ppf "%s" b.label
-          else Format.fprintf ppf "%s[%s]" b.label (Condition.to_string b.cond))
-        ppf blocks
+let add_block b blk =
+  (match blk.bind with
+  | [] -> ()
+  | rs ->
+      Buffer.add_string b "@{";
+      List.iteri
+        (fun i r ->
+          if i > 0 then Buffer.add_char b ',';
+          Condition.add_register b r)
+        rs;
+      Buffer.add_string b "} ");
+  Buffer.add_string b blk.label;
+  if blk.cond <> Condition.True then begin
+    Buffer.add_char b '[';
+    Condition.add_to_buffer b blk.cond;
+    Buffer.add_char b ']'
+  end
 
-let to_string b = Format.asprintf "%a" pp b
+let to_string blocks =
+  match blocks with
+  | [] -> "eps"
+  | _ ->
+      let b = Buffer.create 64 in
+      List.iteri
+        (fun i blk ->
+          if i > 0 then Buffer.add_char b ' ';
+          add_block b blk)
+        blocks;
+      Buffer.contents b
+
+let pp ppf blocks = Format.pp_print_string ppf (to_string blocks)
 
 let matches blocks w =
   let k = registers blocks in

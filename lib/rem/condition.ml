@@ -73,24 +73,56 @@ let type_of_state ~d ~assignment =
 
 let equal = ( = )
 
-let rec pp_prec prec ppf c =
-  let paren p body =
-    if prec > p then Format.fprintf ppf "(%t)" body else body ppf
+(* [r<i+1>], digit by digit: [string_of_int] goes through the C
+   formatter, which costs more than the rest of a short certificate. *)
+let add_register b i =
+  let rec digits n =
+    if n >= 10 then digits (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  in
+  Buffer.add_char b 'r';
+  digits (i + 1)
+
+let rec add_prec b prec c =
+  let paren open_ body =
+    if open_ then begin
+      Buffer.add_char b '(';
+      body ();
+      Buffer.add_char b ')'
+    end
+    else body ()
   in
   match c with
-  | True -> Format.pp_print_string ppf "true"
-  | Eq i -> Format.fprintf ppf "r%d=" (i + 1)
-  | Neq i -> Format.fprintf ppf "r%d!=" (i + 1)
+  | True -> Buffer.add_string b "true"
+  | Eq i ->
+      add_register b i;
+      Buffer.add_char b '='
+  | Neq i ->
+      add_register b i;
+      Buffer.add_string b "!="
   | Or (c1, c2) ->
-      paren 0 (fun ppf ->
-          Format.fprintf ppf "%a | %a" (pp_prec 0) c1 (pp_prec 0) c2)
+      paren (prec > 0) (fun () ->
+          add_prec b 0 c1;
+          Buffer.add_string b " | ";
+          add_prec b 0 c2)
   | And (c1, c2) ->
-      paren 1 (fun ppf ->
-          Format.fprintf ppf "%a & %a" (pp_prec 1) c1 (pp_prec 1) c2)
-  | Not c1 -> paren 2 (fun ppf -> Format.fprintf ppf "!%a" (pp_prec 2) c1)
+      paren (prec > 1) (fun () ->
+          add_prec b 1 c1;
+          Buffer.add_string b " & ";
+          add_prec b 1 c2)
+  | Not c1 ->
+      paren (prec > 2) (fun () ->
+          Buffer.add_char b '!';
+          add_prec b 2 c1)
 
-let pp = pp_prec 0
-let to_string c = Format.asprintf "%a" pp c
+let add_to_buffer b c = add_prec b 0 c
+
+let to_string c =
+  let b = Buffer.create 32 in
+  add_to_buffer b c;
+  Buffer.contents b
+
+let pp ppf c = Format.pp_print_string ppf (to_string c)
 
 type token = Treg of int * bool | Ttrue | Tand | Tor | Tnot | Tlparen | Trparen
 

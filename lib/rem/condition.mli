@@ -52,6 +52,14 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append [to_string c]; the REM printers render a test's condition
+    into their own buffer through this. *)
+
+val add_register : Buffer.t -> int -> unit
+(** Append register [i] as written: [r<i+1>] ([add_register b 0]
+    appends ["r1"]). *)
+
 val parse : string -> (t, string) result
 (** Concrete syntax: [true], [r1=], [r1!=], [&], [|], [!c], parentheses.
     Registers are 1-indexed in the concrete syntax ([r1] is register 0). *)

@@ -330,40 +330,69 @@ let matches e w =
   final_assignments ~k e w (Array.make k None) <> []
 
 (* ------------------------------------------------------------------ *)
-(* Pretty-printing.  Precedence: union 0, concat 1, postfix 2, atom 3. *)
+(* Pretty-printing.  Precedence: union 0, concat 1, postfix 2, atom 3.
+   One [Buffer] per certificate: this runs on every cache hit. *)
 
-let pp_registers ppf rs =
+let add_registers b rs =
   match rs with
-  | [ r ] -> Format.fprintf ppf "@@r%d" (r + 1)
+  | [ r ] ->
+      Buffer.add_char b '@';
+      Condition.add_register b r
   | _ ->
-      Format.fprintf ppf "@@{%s}"
-        (String.concat "," (List.map (fun r -> Printf.sprintf "r%d" (r + 1)) rs))
+      Buffer.add_string b "@{";
+      List.iteri
+        (fun i r ->
+          if i > 0 then Buffer.add_char b ',';
+          Condition.add_register b r)
+        rs;
+      Buffer.add_char b '}'
 
-let rec pp_prec prec ppf e =
-  let paren p body =
-    if prec > p then Format.fprintf ppf "(%t)" body else body ppf
+let rec add_prec b prec e =
+  let paren open_ body =
+    if open_ then begin
+      Buffer.add_char b '(';
+      body ();
+      Buffer.add_char b ')'
+    end
+    else body ()
   in
   match e with
-  | Eps -> Format.pp_print_string ppf "eps"
-  | Letter a -> Format.pp_print_string ppf a
+  | Eps -> Buffer.add_string b "eps"
+  | Letter a -> Buffer.add_string b a
   | Union (e1, e2) ->
-      paren 0 (fun ppf ->
-          Format.fprintf ppf "%a | %a" (pp_prec 1) e1 (pp_prec 0) e2)
+      paren (prec > 0) (fun () ->
+          add_prec b 1 e1;
+          Buffer.add_string b " | ";
+          add_prec b 0 e2)
   | Concat (e1, e2) ->
-      paren 1 (fun ppf ->
-          Format.fprintf ppf "%a %a" (pp_prec 1) e1 (pp_prec 2) e2)
-  | Plus e1 -> paren 2 (fun ppf -> Format.fprintf ppf "%a+" (pp_prec 3) e1)
+      paren (prec > 1) (fun () ->
+          add_prec b 1 e1;
+          Buffer.add_char b ' ';
+          add_prec b 2 e2)
+  | Plus e1 ->
+      paren (prec > 2) (fun () ->
+          add_prec b 3 e1;
+          Buffer.add_char b '+')
   | Test (e1, c) ->
-      paren 2 (fun ppf ->
-          Format.fprintf ppf "%a[%s]" (pp_prec 3) e1 (Condition.to_string c))
+      paren (prec > 2) (fun () ->
+          add_prec b 3 e1;
+          Buffer.add_char b '[';
+          Condition.add_to_buffer b c;
+          Buffer.add_char b ']')
   | Bind (rs, e1) ->
       (* A bind scopes over everything to its right in a concatenation, so
          it must be parenthesized whenever anything follows it. *)
-      paren 0 (fun ppf ->
-          Format.fprintf ppf "%a %a" pp_registers rs (pp_prec 1) e1)
+      paren (prec > 0) (fun () ->
+          add_registers b rs;
+          Buffer.add_char b ' ';
+          add_prec b 1 e1)
 
-let pp = pp_prec 0
-let to_string e = Format.asprintf "%a" pp e
+let to_string e =
+  let b = Buffer.create 64 in
+  add_prec b 0 e;
+  Buffer.contents b
+
+let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* Parser. *)

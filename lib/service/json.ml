@@ -11,19 +11,26 @@ type t =
    blocks embedded in service responses stay byte-identical to what the
    CLI prints for the same outcome. *)
 
+(* Runs of bytes that need no escape are copied in one blit each: most
+   strings (certificates, digests, keys) are a single run. *)
 let escape_into b s =
-  String.iter
-    (fun c ->
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring b s !run (i - !run);
+      run := i + 1;
       match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+      | c -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+    end
+  done;
+  Buffer.add_substring b s !run (n - !run)
 
 let number_to_string f =
   if Float.is_integer f && Float.abs f < 1e15 then

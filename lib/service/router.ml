@@ -205,10 +205,11 @@ let drop_conn (conns : conns) name =
 (* Forward one pre-rendered line to a shard, returning the raw response
    line.  One reconnect-and-retry on a transport error: the shard may
    have restarted since this connection was opened.  The reply must
-   carry an intact integrity seal ({!Wire.crc_status} [`Sealed_ok]) —
-   every shard seals its responses, so anything else means the bytes
-   were damaged in flight and relaying them would hand the client a
-   corrupted verdict.  A shard marked unhealthy fails fast until its
+   carry an intact integrity seal — every shard seals its responses, so
+   anything else means the bytes were damaged in flight and relaying
+   them would hand the client a corrupted verdict.  [Client.request_raw]
+   has already refused a seal that fails its CRC, so what is left to
+   require here is that the seal is present ({!Wire.sealed}).  A shard marked unhealthy fails fast until its
    cooldown lapses. *)
 let forward t conns name line =
   if shard_down t name then begin
@@ -218,7 +219,7 @@ let forward t conns name line =
   else begin
     let once () =
       match Client.request_raw (get_conn t conns name) line with
-      | Ok reply when Wire.crc_status reply = `Sealed_ok ->
+      | Ok reply when Wire.sealed reply ->
           incr t.n_forwarded;
           Ok reply
       | Ok _ ->
@@ -258,7 +259,7 @@ let forward_stream t conns name ~on_progress line =
   end
   else
     match Client.request_stream (get_conn t conns name) ~on_progress line with
-    | Ok reply when Wire.crc_status reply = `Sealed_ok ->
+    | Ok reply when Wire.sealed reply ->
         note_forward_ok t name;
         incr t.n_forwarded;
         Ok reply

@@ -64,7 +64,8 @@
 
     {b Reply integrity.}  Shards seal every response line with a
     trailing CRC ({!Wire.seal}); the router refuses to relay a reply
-    whose seal is missing or wrong ({!Wire.crc_status}), so bytes
+    whose seal is missing or wrong ({!Wire.crc_status}, computed once
+    per reply by the shard connection's {!Client}), so bytes
     damaged between shard and router (a chaos proxy, a bad NIC) become
     a typed [shard_unavailable] rather than a corrupted verdict.
 

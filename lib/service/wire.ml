@@ -5,17 +5,40 @@ module Outcome = Engine.Outcome
    string escaper and a few combinators beat a dependency.  (Moved from
    the CLI, which now emits through this module; the byte format is
    load-bearing, see the interface.) *)
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
+let add_json_string b s =
   Buffer.add_char b '"';
   Json.escape_into b s;
-  Buffer.add_char b '"';
+  Buffer.add_char b '"'
+
+let json_string s =
+  let b = Buffer.create (String.length s + 2) in
+  add_json_string b s;
   Buffer.contents b
 
+(* The rendered size of an object whose keys need no escaping, so its
+   buffer is allocated once. *)
+let obj_size fields =
+  List.fold_left
+    (fun n (k, v) -> n + String.length k + String.length v + 4)
+    2 fields
+
+(* [{] and the fields, without the closing brace: [json_obj] closes it,
+   [seal] closes it after the integrity field. *)
+let add_obj_open b fields =
+  Buffer.add_char b '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char b ',';
+      add_json_string b k;
+      Buffer.add_char b ':';
+      Buffer.add_string b v)
+    fields
+
 let json_obj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> json_string k ^ ":" ^ v) fields)
-  ^ "}"
+  let b = Buffer.create (obj_size fields) in
+  add_obj_open b fields;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 let json_list xs = "[" ^ String.concat "," xs ^ "]"
 
@@ -26,13 +49,26 @@ let json_list xs = "[" ^ String.concat "," xs ^ "]"
    anywhere in the payload fails the check at the first hop that looks.
    Progress frames are not sealed — they are advisory and discarded on
    any parse doubt. *)
+let seal_key = ",\"crc\":\""
+let hex_digits = "0123456789abcdef"
+
+(* Close an open object with [,"crc":"xxxxxxxx"}]. *)
+let add_seal b crc =
+  Buffer.add_string b seal_key;
+  for shift = 7 downto 0 do
+    Buffer.add_char b hex_digits.[(crc lsr (4 * shift)) land 0xf]
+  done;
+  Buffer.add_string b "\"}"
+
 let seal fields =
-  let body = json_obj fields in
-  if fields = [] then body
-  else
-    Printf.sprintf "%s,\"crc\":\"%08x\"}"
-      (String.sub body 0 (String.length body - 1))
-      (Store.Crc32.digest_string body)
+  if fields = [] then "{}"
+  else begin
+    let b = Buffer.create (obj_size fields + 17) in
+    add_obj_open b fields;
+    let prefix = Buffer.contents b in
+    add_seal b (Store.Crc32.digest_sub_char prefix 0 (String.length prefix) '}');
+    Buffer.contents b
+  end
 
 (* Seal an already-rendered object line.  The load generator seals its
    request lines with this so a byte corrupted in transit (chaos proxy)
@@ -41,27 +77,44 @@ let seal fields =
 let seal_line line =
   let n = String.length line in
   if n < 3 || line.[0] <> '{' || line.[n - 1] <> '}' then line
-  else
-    Printf.sprintf "%s,\"crc\":\"%08x\"}"
-      (String.sub line 0 (n - 1))
-      (Store.Crc32.digest_string line)
+  else begin
+    let b = Buffer.create (n + 17) in
+    Buffer.add_substring b line 0 (n - 1);
+    add_seal b (Store.Crc32.digest_string line);
+    Buffer.contents b
+  end
 
-let is_hex8 s =
-  String.length s = 8
-  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
+(* The 18-byte trailer [,"crc":"xxxxxxxx"}], checked in place. *)
+let sealed line =
+  let n = String.length line in
+  n >= 18
+  && line.[n - 2] = '"'
+  && line.[n - 1] = '}'
+  &&
+  let rec key i = i = 8 || (line.[n - 18 + i] = seal_key.[i] && key (i + 1)) in
+  key 0
+
+(* The trailer's 8 lowercase hex digits as an int, or -1. *)
+let sealed_crc line =
+  let n = String.length line in
+  let rec go i acc =
+    if i = n - 2 then acc
+    else
+      match line.[i] with
+      | '0' .. '9' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - 48))
+      | 'a' .. 'f' as c -> go (i + 1) ((acc lsl 4) lor (Char.code c - 87))
+      | _ -> -1
+  in
+  go (n - 10) 0
 
 let crc_status line =
-  let n = String.length line in
-  if n < 18 || String.sub line (n - 18) 8 <> ",\"crc\":\""
-     || line.[n - 2] <> '"' || line.[n - 1] <> '}'
-  then `Unsealed
+  if not (sealed line) then `Unsealed
   else
-    let hex = String.sub line (n - 10) 8 in
-    if not (is_hex8 hex) then `Sealed_bad
-    else
-      let crc = int_of_string ("0x" ^ hex) in
-      let body = String.sub line 0 (n - 18) ^ "}" in
-      if Store.Crc32.digest_string body = crc then `Sealed_ok else `Sealed_bad
+    let crc = sealed_crc line in
+    if crc >= 0
+       && Store.Crc32.digest_sub_char line 0 (String.length line - 18) '}' = crc
+    then `Sealed_ok
+    else `Sealed_bad
 
 let crc_ok line = crc_status line <> `Sealed_bad
 

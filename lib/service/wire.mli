@@ -95,6 +95,12 @@ val crc_status : string -> [ `Sealed_ok | `Sealed_bad | `Unsealed ]
     truncated lines); [`Sealed_bad] — a crc field that does not match
     the rest of the line's bytes. *)
 
+val sealed : string -> bool
+(** The line ends with a seal trailer, whether or not its CRC matches
+    (not [`Unsealed]).  A line that also passed {!crc_ok} — as every
+    reply {!Client.request_raw} returns has — is [`Sealed_ok], so a
+    relay can require a seal without computing the CRC again. *)
+
 val crc_ok : string -> bool
 (** Not [`Sealed_bad]: unsealed lines pass, so callers that may
     legitimately receive unsealed lines can still reject corruption. *)

@@ -316,6 +316,37 @@ let test_counterexample_violating_hom () =
         (TR.mem s (List.map (fun p -> hom.(p)) tuple))
   | _ -> Alcotest.fail "{0} on the 3-cycle should be refuted by a hom"
 
+(* One certificate string per language, recorded when the printers
+   still went through Format: the Buffer printers must render the same
+   bytes, including the hov line breaks of a ucrdpq union. *)
+let golden_certificates =
+  [
+    ("rpq", 1, fig1, s1, "a . a . a");
+    ("ree", 1, fig1, s1, "a!= (a a) | a= (a a)");
+    ("rem", 1, fig1, s2, "(@r1 a[r1!=]) ((@r2 a[r1=]) a[r2=])");
+    ( "krem", 2, fig1, s2,
+      "(@r2 a[r1!= & r2!=]) ((@r1 a[r1!= & r2=]) a[r1= & r2!=])" );
+    ( "ucrdpq", 1, fst (List.nth random_instances 3),
+      snd (List.nth random_instances 3),
+      "Ans(x0,x1) :- x0 -[eps]-> x0 /\\ x1 -[eps]-> x1 /\\ x2 -[eps]-> x2 /\\\n\
+      \              x3 -[eps]-> x3 /\\ x3 -[b]-> x0 /\\ x2 -[b]-> x2 /\\\n\
+      \              x0 -[b]-> x2 /\\ x0 -[b]-> x1 /\\ x3 -[a]-> x2 /\\ x3 -[a]-> x1 /\\\n\
+      \              x2 -[a]-> x2 /\\ x0 -[a]-> x3 /\\ x3 -[((b | a)+)=]-> x3 /\\\n\
+      \              x3 -[((b | a)+)=]-> x2 /\\ x3 -[((b | a)+)=]-> x0 /\\\n\
+      \              x2 -[((b | a)+)=]-> x2 /\\ x0 -[((b | a)+)=]-> x3 /\\\n\
+      \              x0 -[((b | a)+)=]-> x2 /\\ x0 -[((b | a)+)=]-> x0 /\\\n\
+      \              x3 -[((b | a)+)!=]-> x1 /\\ x0 -[((b | a)+)!=]-> x1" );
+  ]
+
+let test_certificate_goldens () =
+  List.iter
+    (fun (lang, k, g, s, expect) ->
+      match Outcome.certificate (decide ~k lang g s) with
+      | Some c ->
+          Alcotest.(check string) lang expect (Outcome.certificate_to_string c)
+      | None -> Alcotest.failf "%s: no certificate" lang)
+    golden_certificates
+
 let () =
   Alcotest.run "engine"
     [
@@ -358,6 +389,7 @@ let () =
             test_mutated_certificates_rejected;
           Alcotest.test_case "wrong relation rejected" `Quick
             test_wrong_language_certificate_rejected;
+          Alcotest.test_case "golden strings" `Quick test_certificate_goldens;
         ] );
       ( "outcomes",
         [

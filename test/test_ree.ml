@@ -174,6 +174,22 @@ let prop_term_relation_agrees_with_eval =
       in
       Rel.equal direct via_eval)
 
+(* The Buffer printers against the Format printers they replaced
+   ({!Printer_oracle}); [pp] goes through [to_string], so both must
+   match. *)
+let printer_prop name arb ~to_string ~pp ~oracle =
+  QCheck.Test.make ~name ~count:500 ~long_factor:20 arb (fun x ->
+      let expect = oracle x in
+      to_string x = expect && Format.asprintf "%a" pp x = expect)
+
+let printer_props =
+  [
+    printer_prop "Ree: Buffer printer = Format printer" arb_small_ree
+      ~to_string:Ree.to_string ~pp:Ree.pp ~oracle:Printer_oracle.ree;
+    printer_prop "Ree_term: Buffer printer = Format printer" arb_small_term
+      ~to_string:Term.to_string ~pp:Term.pp ~oracle:Printer_oracle.ree_term;
+  ]
+
 let () =
   Alcotest.run "ree"
     [
@@ -195,4 +211,6 @@ let () =
             prop_simplify_preserves;
             prop_term_relation_agrees_with_eval;
           ] );
+      ( "printer reference",
+        List.map QCheck_alcotest.to_alcotest printer_props );
     ]

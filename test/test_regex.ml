@@ -116,6 +116,24 @@ let prop_roundtrip =
       | Ok e' -> R.equal e e'
       | Error _ -> false)
 
+(* The Buffer printer against the Format printer it replaced
+   ({!Printer_oracle}); [pp] goes through [to_string], so both must
+   match.  [Empty] is spliced in because the generator never makes it. *)
+let prop_printer_reference =
+  QCheck.Test.make ~name:"Buffer printer = Format printer" ~count:500
+    ~long_factor:20
+    (QCheck.make ~print:R.to_string
+       QCheck.Gen.(
+         oneof
+           [
+             qcheck_regex_gen;
+             map (fun e -> R.Concat (R.Union (R.Empty, e), R.Star R.Empty))
+               qcheck_regex_gen;
+           ]))
+    (fun e ->
+      let expect = Printer_oracle.regex e in
+      R.to_string e = expect && Format.asprintf "%a" R.pp e = expect)
+
 let test_inclusion () =
   let nfa s = Nfa.of_regex (parse s) in
   Alcotest.(check bool) "a <= a|b" true
@@ -236,4 +254,6 @@ let () =
             prop_inclusion_sound;
             prop_union_upper_bound;
           ] );
+      ( "printer reference",
+        [ QCheck_alcotest.to_alcotest prop_printer_reference ] );
     ]

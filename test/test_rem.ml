@@ -258,6 +258,87 @@ let prop_rem_roundtrip =
       | Ok e' -> Rem.equal e e'
       | Error _ -> false)
 
+(* ---------- Buffer printers against the Format oracle ---------- *)
+
+(* Registers up to r12, so two-digit indices print too. *)
+let gen_cond =
+  let open QCheck.Gen in
+  sized_size (int_bound 4) (fun n ->
+      fix
+        (fun self n ->
+          if n <= 0 then
+            frequency
+              [
+                (1, return C.True);
+                (3, map (fun i -> C.Eq i) (int_bound 11));
+                (3, map (fun i -> C.Neq i) (int_bound 11));
+              ]
+          else
+            frequency
+              [
+                (2, map2 (fun a b -> C.And (a, b)) (self (n / 2)) (self (n / 2)));
+                (2, map2 (fun a b -> C.Or (a, b)) (self (n / 2)) (self (n / 2)));
+                (1, map (fun a -> C.Not a) (self (n - 1)));
+                (1, self 0);
+              ])
+        n)
+
+let gen_regs = QCheck.Gen.(list_size (int_bound 3) (int_bound 11))
+
+(* [arb_small_rem]'s shapes with arbitrary conditions and bind lists
+   (including the empty and multi-register binds it never makes). *)
+let gen_rich_rem =
+  let open QCheck.Gen in
+  sized_size (int_bound 5) (fun n ->
+      fix
+        (fun self n ->
+          if n <= 0 then
+            oneof
+              [
+                return Rem.Eps;
+                map (fun a -> Rem.Letter a) (oneofl [ "a"; "b"; "lbl_2" ]);
+              ]
+          else
+            frequency
+              [
+                (2, map2 (fun a b -> Rem.Union (a, b)) (self (n / 2)) (self (n / 2)));
+                (3, map2 (fun a b -> Rem.Concat (a, b)) (self (n / 2)) (self (n / 2)));
+                (1, map (fun a -> Rem.Plus a) (self (n - 1)));
+                (2, map2 (fun a c -> Rem.Test (a, c)) (self (n - 1)) gen_cond);
+                (2, map2 (fun a rs -> Rem.Bind (rs, a)) (self (n - 1)) gen_regs);
+              ])
+        n)
+
+let gen_basic =
+  let open QCheck.Gen in
+  list_size (int_bound 4)
+    (map3
+       (fun bind label cond -> { Basic.bind; label; cond })
+       gen_regs
+       (oneofl [ "a"; "b"; "lbl_2" ])
+       (frequency [ (1, return C.True); (3, gen_cond) ]))
+
+let printer_prop name ~print gen ~to_string ~pp ~oracle =
+  QCheck.Test.make ~name ~count:500 ~long_factor:20 (QCheck.make ~print gen)
+    (fun x ->
+      let expect = oracle x in
+      to_string x = expect && Format.asprintf "%a" pp x = expect)
+
+let printer_props =
+  [
+    printer_prop "Rem: Buffer printer = Format printer" ~print:Rem.to_string
+      QCheck.Gen.(oneof [ QCheck.gen arb_small_rem; gen_rich_rem ])
+      ~to_string:Rem.to_string ~pp:Rem.pp ~oracle:Printer_oracle.rem;
+    printer_prop "Condition: Buffer printer = Format printer"
+      ~print:C.to_string gen_cond ~to_string:C.to_string ~pp:C.pp
+      ~oracle:Printer_oracle.condition;
+    printer_prop "Basic_rem: Buffer printer = Format printer"
+      ~print:Basic.to_string
+      QCheck.Gen.(
+        oneof [ gen_basic; map Basic.of_data_path (QCheck.gen arb_small_path) ])
+      ~to_string:Basic.to_string ~pp:Basic.pp ~oracle:Printer_oracle.basic_rem;
+  ]
+
 (* ---------- emptiness and witnesses ---------- *)
 
 let test_emptiness_basics () =
@@ -356,4 +437,6 @@ let () =
             prop_simplify_preserves;
             prop_emptiness_agrees;
           ] );
+      ( "printer reference",
+        List.map QCheck_alcotest.to_alcotest printer_props );
     ]

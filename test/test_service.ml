@@ -2137,6 +2137,111 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* A router relays a shard reply only when it carries an intact seal.
+   The shard here is a stand-in that answers every line with [!reply],
+   so each case controls the exact bytes the router sees: a sealed line
+   relays verbatim, while an unsealed one or one with a flipped byte
+   becomes a typed [shard_unavailable] — plain and streaming forward
+   alike. *)
+let test_e2e_router_reply_seal () =
+  let spath = Filename.temp_file "defstub" ".sock" in
+  Sys.remove spath;
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX spath);
+  Unix.listen lfd 8;
+  let reply = Atomic.make "" in
+  let serve c =
+    let ic = Unix.in_channel_of_descr c and oc = Unix.out_channel_of_descr c in
+    try
+      while true do
+        ignore (input_line ic);
+        output_string oc (Atomic.get reply);
+        output_char oc '\n';
+        flush oc
+      done
+    with _ -> ( try Unix.close c with _ -> ())
+  in
+  let sth =
+    Thread.create
+      (fun () ->
+        try
+          while true do
+            let c, _ = Unix.accept lfd in
+            ignore (Thread.create serve c)
+          done
+        with _ -> ())
+      ()
+  in
+  let config =
+    { Service.Router.default_config with Service.Router.unhealthy_after = 1000 }
+  in
+  let rpath = Filename.temp_file "defroute" ".sock" in
+  let router =
+    Service.Router.create ~config
+      ~shards:[ ("stub", Wire.Unix_sock spath) ]
+      (Wire.Unix_sock rpath)
+  in
+  let rth = Thread.create Service.Router.run router in
+  Fun.protect
+    ~finally:(fun () ->
+      Service.Router.shutdown router;
+      Thread.join rth;
+      (try Unix.shutdown lfd Unix.SHUTDOWN_ALL with _ -> ());
+      (try Unix.close lfd with _ -> ());
+      Thread.join sth;
+      try Sys.remove spath with _ -> ())
+    (fun () ->
+      let sealed =
+        Wire.seal
+          [
+            ("op", Wire.json_string "decide");
+            ("status", Wire.json_string "ok");
+            ("result", Wire.json_string "from the stub");
+          ]
+      in
+      let flipped =
+        let b = Bytes.of_string sealed in
+        Bytes.set b 20 (Char.chr (Char.code (Bytes.get b 20) lxor 1));
+        Bytes.to_string b
+      in
+      let unsealed = Wire.json_obj [ ("op", Wire.json_string "decide") ] in
+      Client.with_connection (Wire.Unix_sock rpath) (fun conn ->
+          List.iter
+            (fun stream ->
+              let line =
+                Wire.request_line
+                  ~envelope:{ Wire.empty_envelope with Wire.stream }
+                  (decide_req s2_text)
+              in
+              let ask () =
+                match
+                  Client.request_stream conn ~on_progress:(fun _ -> ()) line
+                with
+                | Ok l -> l
+                | Error msg -> Alcotest.failf "router transport: %s" msg
+              in
+              let mode = if stream then "stream" else "plain" in
+              Atomic.set reply sealed;
+              Alcotest.(check string) (mode ^ ": intact reply verbatim") sealed
+                (ask ());
+              List.iter
+                (fun (what, bad) ->
+                  Atomic.set reply bad;
+                  match Json.parse (ask ()) with
+                  | Error msg -> Alcotest.failf "unparsable answer: %s" msg
+                  | Ok j ->
+                      Alcotest.(check (option string))
+                        (mode ^ ": " ^ what ^ " refused")
+                        (Some "unavailable") (member_str "status" j);
+                      Alcotest.(check bool)
+                        (mode ^ ": " ^ what ^ " names the seal")
+                        true
+                        (match member_str "error" j with
+                        | Some e -> contains e "integrity check"
+                        | None -> false))
+                [ ("unsealed", unsealed); ("flipped", flipped) ])
+            [ false; true ]))
+
 (* Two spellings of one instance share one verdict entry, and each
    response renders the requester's own node names — also when its
    text is answered from the memo. *)
@@ -2295,6 +2400,8 @@ let () =
           ("export/import/compact", `Quick, test_e2e_export_import_compact);
           ("rebalance", `Quick, test_e2e_rebalance);
           ("text memo and ring placement", `Quick, test_e2e_router_text_memo);
+          ("reply seal required, relay verbatim", `Quick,
+           test_e2e_router_reply_seal);
         ] );
       ( "observability",
         [

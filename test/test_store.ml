@@ -44,6 +44,58 @@ let test_crc32 () =
     (Store.Crc32.digest_string "456")
     (Store.Crc32.digest_sub "123456789" 3 3)
 
+(* ---------- slicing-by-4 against a bit-at-a-time reference ---------- *)
+
+(* CRC-32 one bit at a time, straight from the polynomial: shares no
+   table and no word loop with the slicing-by-4 implementation. *)
+let crc_reference s pos len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let agrees s pos len =
+  let expect = crc_reference s pos len in
+  Store.Crc32.digest_sub s pos len = expect
+  && Store.Crc32.digest_bytes (Bytes.of_string s) pos len = expect
+  && Store.Crc32.digest_sub_char s pos len '}'
+     = crc_reference (String.sub s pos len ^ "}") 0 (len + 1)
+
+let test_crc32_every_length () =
+  Alcotest.(check int) "quick brown fox" 0x414FA339
+    (Store.Crc32.digest_string "The quick brown fox jumps over the lazy dog");
+  let rng = Random.State.make [| 25 |] in
+  let s = String.init 80 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  (* Every length 0..67 at four offsets, so the word loop starts both
+     aligned and not, and every tail length 0..3 is taken. *)
+  for len = 0 to 67 do
+    for pos = 0 to 3 do
+      if not (agrees s pos len) then
+        Alcotest.failf "crc disagrees at pos %d len %d" pos len
+    done
+  done;
+  List.iter
+    (fun (pos, len) ->
+      match Store.Crc32.digest_sub s pos len with
+      | _ -> Alcotest.failf "accepted slice %d+%d" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, -1); (79, 2); (81, 0) ]
+
+let prop_crc32_reference =
+  QCheck.Test.make ~name:"slicing-by-4 = bitwise reference" ~count:500
+    ~long_factor:20
+    QCheck.(
+      triple (string_of_size (Gen.int_bound 300)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      agrees s 0 n && agrees s pos len)
+
 let test_basic_ops () =
   let dir = fresh_dir () in
   with_store dir (fun t ->
@@ -290,4 +342,9 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ test_corrupted_log_recovers_prefix; test_double_corruption_reopen ]
       );
+      ( "crc reference",
+        [
+          ("every length, unaligned", `Quick, test_crc32_every_length);
+          QCheck_alcotest.to_alcotest prop_crc32_reference;
+        ] );
     ]

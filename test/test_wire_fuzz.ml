@@ -89,31 +89,109 @@ let test_truncated_lines () =
       done)
     sample_lines
 
+(* ---------- pinned seals ---------- *)
+
+(* A warm-hit style response and a sealed request, rendered by the
+   Format printers and the bytewise CRC before the Buffer printers and
+   slicing-by-4 replaced them: the bytes must not move. *)
+let pinned_response =
+  "{\"op\":\"decide\",\"status\":\"ok\",\"digest\":\"5e2f0c1d9a7b3e46\",\
+   \"lang\":\"rem\",\"verdict\":\"definable\",\"reason\":null,\
+   \"certificate\":{\"lang\":\"rem\",\"query\":\"(@r1 a[r1!=]) ((@r2 \
+   a[r1=]) a[r2=])\"},\"counterexample\":null,\"crc\":\"15a31701\"}"
+
+let pinned_request =
+  "{\"op\":\"decide\",\"lang\":\"rem\",\"k\":1,\"instance\":\"node a \
+   1\\nnode b 2\\nedge a x b\\ntuple a b\\n\",\"crc\":\"2d058c72\"}"
+
+let test_pinned_seals () =
+  let cert =
+    match Rem_lang.Rem.parse "(@r1 a[r1!=]) ((@r2 a[r1=]) a[r2=])" with
+    | Ok e -> e
+    | Error m -> Alcotest.fail m
+  in
+  let o =
+    Engine.Outcome.make ~steps:0 ~elapsed_s:0.
+      (Engine.Outcome.Definable (Engine.Outcome.Rem cert))
+  in
+  Alcotest.(check string) "sealed response" pinned_response
+    (Wire.seal
+       (("op", Wire.json_string "decide")
+       :: ("status", Wire.json_string "ok")
+       :: ("digest", Wire.json_string "5e2f0c1d9a7b3e46")
+       :: Wire.verdict_fields (Datagraph.Graph_gen.fig1 ()) ~lang:"rem" o));
+  Alcotest.(check string) "sealed request" pinned_request
+    (Wire.seal_line
+       (Wire.request_to_string
+          (Wire.Decide
+             {
+               lang = "rem";
+               k = Some 1;
+               fuel = None;
+               timeout_s = None;
+               instance = "node a 1\nnode b 2\nedge a x b\ntuple a b\n";
+             })))
+
+(* Flip every byte of a sealed line through a few masks: the seal must
+   never verify on damaged bytes.  A flip in the payload or the hex
+   digits reads [`Sealed_bad]; one in the trailer's fixed bytes
+   ([,"crc":"] and the closing ["}]) unmakes the seal and reads
+   [`Unsealed], which a router refuses as well. *)
 let test_corrupted_seal_never_ok () =
-  (* Flip every byte of a sealed line through a few masks: the seal
-     must never verify on damaged bytes. *)
-  let line = Wire.seal_line "{\"op\":\"decide\",\"lang\":\"rem\",\"k\":1}" in
-  Alcotest.(check bool) "pristine line seals ok" true
-    (Wire.crc_status line = `Sealed_ok);
   List.iter
-    (fun mask ->
+    (fun line ->
+      Alcotest.(check bool) "pristine line seals ok" true
+        (Wire.crc_status line = `Sealed_ok);
+      let n = String.length line in
       String.iteri
         (fun i c ->
-          let b = Bytes.of_string line in
-          Bytes.set b i (Char.chr (Char.code c lxor mask land 0xff));
-          let s = Bytes.to_string b in
-          if s <> line then
-            match Wire.crc_status s with
-            | `Sealed_ok -> Alcotest.failf "corruption at %d sealed ok" i
-            | `Sealed_bad | `Unsealed -> ())
+          List.iter
+            (fun mask ->
+              let b = Bytes.of_string line in
+              Bytes.set b i (Char.chr (Char.code c lxor mask));
+              let trailer = i >= n - 18 && (i < n - 10 || i >= n - 2) in
+              match (Wire.crc_status (Bytes.to_string b), trailer) with
+              | `Sealed_bad, false | `Unsealed, true -> ()
+              | _ -> Alcotest.failf "flip %#x at %d of %S" mask i line)
+            [ 0x01; 0x20; 0x80; 0xff ])
         line)
-    [ 0x01; 0x80; 0xff ]
+    [
+      Wire.seal_line "{\"op\":\"decide\",\"lang\":\"rem\",\"k\":1}";
+      pinned_response;
+      pinned_request;
+    ]
 
 (* ---------- QCheck: arbitrary bytes ---------- *)
+
+(* The per-byte escaper [Json.escape_into] replaced with a run-copying
+   one; every string must escape to the same bytes. *)
+let escape_reference s =
+  let b = Buffer.create 16 in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
+      QCheck.Test.make ~count:500 ~name:"escaping = per-byte reference"
+        QCheck.(
+          string_gen_of_size (Gen.int_bound 64)
+            (Gen.oneof
+               [ Gen.char; Gen.oneofl [ '"'; '\\'; '\n'; '\001'; 'a' ] ]))
+        (fun s -> Wire.json_string s = escape_reference s);
       no_raise "arbitrary bytes never raise" (fun _ -> ());
       QCheck.Test.make ~count:200 ~name:"mutated request lines never raise"
         QCheck.(pair (int_bound (List.length sample_lines - 1)) (pair small_nat char))
@@ -155,5 +233,7 @@ let () =
           Alcotest.test_case "corrupted seal never verifies" `Quick
             test_corrupted_seal_never_ok;
         ] );
+      ( "seal",
+        [ Alcotest.test_case "pinned lines" `Quick test_pinned_seals ] );
       ("qcheck", qcheck_tests);
     ]
