@@ -211,6 +211,6 @@ let () =
             prop_simplify_preserves;
             prop_term_relation_agrees_with_eval;
           ] );
-      ( "printer reference",
+      ( "printer",
         List.map QCheck_alcotest.to_alcotest printer_props );
     ]

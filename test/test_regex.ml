@@ -254,6 +254,6 @@ let () =
             prop_inclusion_sound;
             prop_union_upper_bound;
           ] );
-      ( "printer reference",
+      ( "printer",
         [ QCheck_alcotest.to_alcotest prop_printer_reference ] );
     ]

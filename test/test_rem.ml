@@ -437,6 +437,6 @@ let () =
             prop_simplify_preserves;
             prop_emptiness_agrees;
           ] );
-      ( "printer reference",
+      ( "printer",
         List.map QCheck_alcotest.to_alcotest printer_props );
     ]

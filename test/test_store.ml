@@ -342,7 +342,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ test_corrupted_log_recovers_prefix; test_double_corruption_reopen ]
       );
-      ( "crc reference",
+      ( "crc32",
         [
           ("every length, unaligned", `Quick, test_crc32_every_length);
           QCheck_alcotest.to_alcotest prop_crc32_reference;
