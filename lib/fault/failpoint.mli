@@ -17,8 +17,11 @@
     - [store.append.corrupt] — flip one byte of the framed record
       before it reaches the file (position and mask hashed).
     - [store.append.torn] — write only a prefix of the frame (a torn
-      write; recovery truncates to the valid prefix, a live read fails
-      the frame CRC and reads as "not stored").
+      write).  The log treats it like any short or failed write: it
+      truncates the file back to the frame's start and fails the put
+      with [Store.Log.Append_failed], so later appends stay aligned;
+      the cache above keeps serving the verdict from memory and counts
+      [store_write_failures].
     - [store.fsync.skip] — silently skip a requested fsync (a lying
       disk; only observable across a crash).
     - [server.admit.overload] — shed an admission as if the gate were

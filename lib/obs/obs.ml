@@ -40,32 +40,39 @@ module Ctx = struct
      smear one request's trace id over its neighbours.  The table is
      touched only at span entry and at request start/end, never inside
      kernels, so one mutex is plenty. *)
-  let table : (int * int, string) Hashtbl.t = Hashtbl.create 16
+  module Lanes = Hashtbl.Make (Int)
+
+  let table : string Lanes.t = Lanes.create 16
   let lock = Mutex.create ()
-  let key () = ((Domain.self () :> int), !thread_id_fn ())
+
+  (* One int per lane: thread ids are far below 2^40. *)
+  let key () = ((Domain.self () :> int) lsl 40) lor !thread_id_fn ()
 
   let current () =
-    Mutex.lock lock;
-    let r = Hashtbl.find_opt table (key ()) in
-    Mutex.unlock lock;
-    r
+    let k = key () in
+    Mutex.protect lock (fun () -> Lanes.find_opt table k)
+
+  let set k = function
+    | Some id -> Lanes.replace table k id
+    | None -> Lanes.remove table k
 
   let with_trace id f =
     let k = key () in
-    Mutex.lock lock;
-    let prev = Hashtbl.find_opt table k in
-    (match id with
-    | Some id -> Hashtbl.replace table k id
-    | None -> Hashtbl.remove table k);
-    Mutex.unlock lock;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock lock;
-        (match prev with
-        | Some p -> Hashtbl.replace table k p
-        | None -> Hashtbl.remove table k);
-        Mutex.unlock lock)
-      f
+    let prev =
+      Mutex.protect lock (fun () ->
+          let prev = Lanes.find_opt table k in
+          set k id;
+          prev)
+    in
+    let restore () = Mutex.protect lock (fun () -> set k prev) in
+    match f () with
+    | v ->
+        restore ();
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        restore ();
+        Printexc.raise_with_backtrace e bt
 end
 
 module Counter = struct
@@ -407,71 +414,83 @@ module Sink = struct
   end
 end
 
-let sinks : Sink.t list ref = ref []
+(* The installed sinks.  Writers replace the list under [sink_lock];
+   readers load it without the lock, so a plane that is enabled with no
+   sink (a server without [--trace] or [--slow-ms]) never touches it. *)
+let sinks : Sink.t list Atomic.t = Atomic.make []
 
 (* Sink implementations are plain mutable structures (hashtable cells,
    a cons list); one lock around dispatch makes them domain-safe.  Span
    ends are per-phase, not per-step, so the lock is far off the hot
-   path — and it is only ever touched while telemetry is enabled.
+   path — and it is only ever touched while some sink is installed.
    Dispatch is exception-safe: a raising sink must not leave the lock
    held (it would deadlock every later span in the process), so the
    exception propagates only after the unlock. *)
 let sink_lock = Mutex.create ()
 
 let dispatch f =
-  Mutex.lock sink_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock sink_lock)
-    (fun () -> List.iter f !sinks)
+  if Atomic.get sinks != [] then
+    Mutex.protect sink_lock (fun () -> List.iter f (Atomic.get sinks))
 
 let enabled () = Atomic.get on
 
 let enable ss =
   Counter.reset_all ();
   Histogram.reset_all ();
-  Mutex.lock sink_lock;
-  sinks := ss;
-  Mutex.unlock sink_lock;
+  Mutex.protect sink_lock (fun () -> Atomic.set sinks ss);
   Atomic.set on true
 
 let disable () =
   Atomic.set on false;
-  Mutex.lock sink_lock;
-  sinks := [];
-  Mutex.unlock sink_lock
+  Mutex.protect sink_lock (fun () -> Atomic.set sinks [])
 
 let add_sink s =
-  Mutex.lock sink_lock;
-  sinks := s :: !sinks;
-  Mutex.unlock sink_lock
+  Mutex.protect sink_lock (fun () -> Atomic.set sinks (s :: Atomic.get sinks))
 
 let remove_sink s =
-  Mutex.lock sink_lock;
-  sinks := List.filter (fun x -> x != s) !sinks;
-  Mutex.unlock sink_lock
+  Mutex.protect sink_lock (fun () ->
+      Atomic.set sinks (List.filter (fun x -> x != s) (Atomic.get sinks)))
 
 module Span = struct
   (* Nesting depth is tracked per domain: concurrent spans from worker
      domains would otherwise corrupt each other's depth. *)
   let depth = Domain.DLS.new_key (fun () -> ref 0)
 
+  (* With the plane on but no sink installed, a span keeps its depth
+     and its start time and nothing else: no lane lookup, no trace
+     context, no lock.  A sink installed inside the span still gets its
+     exit, with the lane and the trace context read there, which is the
+     lane and context the span was entered on. *)
   let with_ name f =
     if not (Atomic.get on) then f ()
     else begin
       let depth = Domain.DLS.get depth in
       let d = !depth in
       depth := d + 1;
-      let dom = (Domain.self () :> int) in
-      let tid = !thread_id_fn () in
-      let trace = Ctx.current () in
       let start_s = now () in
-      dispatch (fun (k : Sink.t) ->
-          k.enter { name; start_s; stop_s = start_s; depth = d; dom; tid; trace });
+      let entered =
+        if Atomic.get sinks == [] then None
+        else begin
+          let dom = (Domain.self () :> int) in
+          let tid = !thread_id_fn () in
+          let trace = Ctx.current () in
+          dispatch (fun (k : Sink.t) ->
+              k.enter { name; start_s; stop_s = start_s; depth = d; dom; tid; trace });
+          Some (dom, tid, trace)
+        end
+      in
       let finish () =
         let stop_s = now () in
         depth := d;
-        let s = { name; start_s; stop_s; depth = d; dom; tid; trace } in
-        dispatch (fun (k : Sink.t) -> k.record s)
+        if Atomic.get sinks != [] then begin
+          let dom, tid, trace =
+            match entered with
+            | Some lane -> lane
+            | None -> ((Domain.self () :> int), !thread_id_fn (), Ctx.current ())
+          in
+          let s = { name; start_s; stop_s; depth = d; dom; tid; trace } in
+          dispatch (fun (k : Sink.t) -> k.record s)
+        end
       in
       match f () with
       | v ->

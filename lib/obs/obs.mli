@@ -17,7 +17,15 @@
     the paper's deciders and saved nothing distinguishable from noise.)
     Spans and sinks are what the enabled flag gates: while telemetry is
     disabled (the default), {!Span.with_} is one predictable branch —
-    no clock syscalls, no allocation, no sink dispatch.  Enabling is
+    no clock syscalls, no allocation, no sink dispatch.  While it is
+    enabled with no sink installed (a server without [--trace] or
+    [--slow-ms]), a span keeps its nesting depth and reads the clock
+    once at entry and once at exit, and skips everything else: the
+    lane lookup, the trace context ({!Ctx.current}), the sink lock and
+    its exception guard.  A sink installed while such a span is open
+    still receives the span's exit, with its name, depth and start
+    time, and the lane and trace context read at exit (the lane it was
+    entered on).  Enabling is
     scoped and explicit: {!enable} installs sinks and zeroes all
     counters and histograms, so a caller can scope a reading to one
     region; {!disable} uninstalls the sinks.  [Budget.take] keeps its
@@ -28,7 +36,7 @@
     (increments from worker domains never lose updates), span nesting
     depth is tracked per-domain, each span records the domain and thread
     that produced it, and sink dispatch is serialized by one lock taken
-    only while telemetry is enabled — so [decide_batch] and the
+    only while telemetry is enabled and some sink is installed — so [decide_batch] and the
     server's pool-executed decides can run instrumented.  The Chrome
     trace sink emits one thread track per (domain, thread) lane, keeping
     concurrent span trees properly nested and the trace Perfetto-valid.

@@ -55,6 +55,7 @@ type t = {
   store_hits : int Atomic.t;
   store_misses : int Atomic.t;
   store_drops : int Atomic.t;
+  store_write_failures : int Atomic.t;
   revalidation_ok : int Atomic.t;
   revalidation_failures : int Atomic.t;
   graph_hits : int Atomic.t;
@@ -81,6 +82,7 @@ let create ?(config = default_config) ?durable () =
     store_hits = Atomic.make 0;
     store_misses = Atomic.make 0;
     store_drops = Atomic.make 0;
+    store_write_failures = Atomic.make 0;
     revalidation_ok = Atomic.make 0;
     revalidation_failures = Atomic.make 0;
     graph_hits = Atomic.make 0;
@@ -115,6 +117,13 @@ let cacheable (o : Outcome.t) =
   | Outcome.Definable _ | Outcome.Not_definable _ -> true
   | Outcome.Unknown _ -> false
 
+(* A durable write that did not land (a torn or failed append, which
+   the log has already cut back off) costs durability, not the answer:
+   the memory tier still holds the verdict, and the failure is
+   counted. *)
+let write_durable t f =
+  try f () with Store.Log.Append_failed _ -> Atomic.incr t.store_write_failures
+
 (* Write-through: the memory tier serves the hot set, the durable tier
    (when configured) makes the verdict survive eviction and restart. *)
 let store t key (e : entry) =
@@ -123,7 +132,9 @@ let store t key (e : entry) =
   | None -> ()
   | Some d ->
       Obs.Span.with_ "service.cache.store_put" @@ fun () ->
-      Tier.put d key { Tier.lang = e.lang; k = e.k; inst = e.inst; outcome = e.outcome }
+      write_durable t (fun () ->
+          Tier.put d key
+            { Tier.lang = e.lang; k = e.k; inst = e.inst; outcome = e.outcome })
 
 (* Promote a durable record into the memory tier.  The decoded entry
    carries its own rebuilt instance; nothing above needs to know the
@@ -154,7 +165,7 @@ let drop t key =
   | None -> ()
   | Some d ->
       Atomic.incr t.store_drops;
-      Tier.remove d key
+      write_durable t (fun () -> Tier.remove d key)
 
 (* The certificate an entry still owes its one check, if any (see
    [entry]). *)
@@ -363,6 +374,7 @@ let counters t =
       ("store_hits", t.store_hits);
       ("store_misses", t.store_misses);
       ("store_drops", t.store_drops);
+      ("store_write_failures", t.store_write_failures);
       ("revalidation_ok", t.revalidation_ok);
       ("revalidation_failures", t.revalidation_failures);
       ("graph_hits", t.graph_hits);

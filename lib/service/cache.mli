@@ -226,7 +226,8 @@ val stats : t -> (string * int) list
 val counters : t -> (string * int) list
 (** This cache's monotone event counts: [verdict_hits],
     [verdict_misses], [store_hits], [store_misses], [store_drops],
-    [revalidation_ok], [revalidation_failures], [graph_hits],
+    [store_write_failures] (durable writes that did not land; the
+    verdict is still served from memory), [revalidation_ok], [revalidation_failures], [graph_hits],
     [graph_misses], [delta_repair_hits], [delta_repair_misses],
     [verdict_evictions], [graph_evictions], [text_hits],
     [text_misses].  Counted per cache, always on; the server publishes

@@ -100,7 +100,21 @@ let keys ~lang ~k g s =
     digest
       (instance_bytes_of_parts ~lang ~k ~gbytes ~rbytes:(relation_bytes s)) )
 
+(* The digest input is [defsvc-text/1\nlang <len>:<lang> k <k>\n<len>:<text>],
+   concatenated into one string of exactly its size: this runs once per
+   decide on each hop, memo hit or not. *)
 let text_key ~lang ~k text =
   digest
-    (Printf.sprintf "defsvc-text/1\nlang %d:%s k %d\n%d:%s" (String.length lang)
-       lang k (String.length text) text)
+    (String.concat ""
+       [
+         "defsvc-text/1\nlang ";
+         string_of_int (String.length lang);
+         ":";
+         lang;
+         " k ";
+         string_of_int k;
+         "\n";
+         string_of_int (String.length text);
+         ":";
+         text;
+       ])

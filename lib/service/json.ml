@@ -74,32 +74,46 @@ let to_string v =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Parsing: recursive descent over the string with one mutable cursor. *)
+(* Parsing: recursive descent over the string with one mutable cursor.
+   Every request crosses this parser on both hops, so the common cases
+   take no detour: the current byte is read in place (no option per
+   peek), a string without escapes is one [String.sub] and an escaped
+   one is copied in runs, and a plain digit run is an integer.  Error
+   strings and byte offsets are part of the protocol (clients see them
+   in [error] responses), so every failure reports the offset the
+   reference parser in the test tree reports. *)
 
 exception Fail of int * string
+
+(* A number made only of digits and short enough to be exact in a
+   double's 53-bit mantissa is read with integer arithmetic; anything
+   else (a sign, a fraction, an exponent, a longer run) goes through
+   [float_of_string_opt], which also keeps [-0] negative. *)
+let max_int_digits = 15
 
 let parse text =
   let n = String.length text in
   let pos = ref 0 in
   let fail msg = raise (Fail (!pos, msg)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
-  let advance () = incr pos in
   let skip_ws () =
     while
       !pos < n
-      && match text.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+      && match String.unsafe_get text !pos with
+         | ' ' | '\t' | '\n' | '\r' -> true
+         | _ -> false
     do
-      advance ()
+      incr pos
     done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
+  (* The cursor is at [c]: step over it. *)
+  let at c = !pos < n && String.unsafe_get text !pos = c in
+  let expect c = if at c then incr pos else fail (Printf.sprintf "expected %C" c) in
   let literal word value =
     let l = String.length word in
-    if !pos + l <= n && String.sub text !pos l = word then begin
+    let rec same i =
+      i = l || (String.unsafe_get text (!pos + i) = String.unsafe_get word i && same (i + 1))
+    in
+    if !pos + l <= n && same 0 then begin
       pos := !pos + l;
       value
     end
@@ -133,67 +147,102 @@ let parse text =
     | Some v -> v
     | None -> fail ("bad \\u escape " ^ s)
   in
+  (* End of the run of bytes from [i] that a string copies verbatim. *)
+  let rec plain i =
+    if i >= n then i
+    else
+      let c = String.unsafe_get text i in
+      if c = '"' || c = '\\' || Char.code c < 0x20 then i else plain (i + 1)
+  in
+  (* The string's remainder from the cursor, after an escape or a byte
+     that ends the first run: runs are blitted, escapes decoded. *)
+  let rec escaped b =
+    let i = plain !pos in
+    Buffer.add_substring b text !pos (i - !pos);
+    pos := i;
+    if i >= n then fail "unterminated string";
+    let c = String.unsafe_get text i in
+    incr pos;
+    match c with
+    | '"' -> Buffer.contents b
+    | '\\' ->
+        if !pos >= n then fail "unterminated escape";
+        let e = String.unsafe_get text !pos in
+        incr pos;
+        (match e with
+        | '"' -> Buffer.add_char b '"'
+        | '\\' -> Buffer.add_char b '\\'
+        | '/' -> Buffer.add_char b '/'
+        | 'b' -> Buffer.add_char b '\b'
+        | 'f' -> Buffer.add_char b '\012'
+        | 'n' -> Buffer.add_char b '\n'
+        | 'r' -> Buffer.add_char b '\r'
+        | 't' -> Buffer.add_char b '\t'
+        | 'u' ->
+            let cp = hex4 () in
+            let cp =
+              (* High surrogate: consume the paired \uXXXX low half. *)
+              if cp >= 0xD800 && cp <= 0xDBFF
+                 && !pos + 1 < n
+                 && text.[!pos] = '\\'
+                 && text.[!pos + 1] = 'u'
+              then begin
+                pos := !pos + 2;
+                let lo = hex4 () in
+                if lo >= 0xDC00 && lo <= 0xDFFF then
+                  0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+                else fail "unpaired surrogate"
+              end
+              else cp
+            in
+            add_utf8 b cp
+        | c -> fail (Printf.sprintf "bad escape \\%c" c));
+        escaped b
+    | _ -> fail "raw control character in string"
+  in
   let parse_string () =
     expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = text.[!pos] in
-      advance ();
-      match c with
-      | '"' -> Buffer.contents b
-      | '\\' -> (
-          if !pos >= n then fail "unterminated escape";
-          let e = text.[!pos] in
-          advance ();
-          match e with
-          | '"' -> Buffer.add_char b '"'; go ()
-          | '\\' -> Buffer.add_char b '\\'; go ()
-          | '/' -> Buffer.add_char b '/'; go ()
-          | 'b' -> Buffer.add_char b '\b'; go ()
-          | 'f' -> Buffer.add_char b '\012'; go ()
-          | 'n' -> Buffer.add_char b '\n'; go ()
-          | 'r' -> Buffer.add_char b '\r'; go ()
-          | 't' -> Buffer.add_char b '\t'; go ()
-          | 'u' ->
-              let cp = hex4 () in
-              let cp =
-                (* High surrogate: consume the paired \uXXXX low half. *)
-                if cp >= 0xD800 && cp <= 0xDBFF
-                   && !pos + 1 < n
-                   && text.[!pos] = '\\'
-                   && text.[!pos + 1] = 'u'
-                then begin
-                  pos := !pos + 2;
-                  let lo = hex4 () in
-                  if lo >= 0xDC00 && lo <= 0xDFFF then
-                    0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-                  else fail "unpaired surrogate"
-                end
-                else cp
-              in
-              add_utf8 b cp;
-              go ()
-          | c -> fail (Printf.sprintf "bad escape \\%c" c))
-      | c when Char.code c < 0x20 -> fail "raw control character in string"
-      | c -> Buffer.add_char b c; go ()
-    in
-    go ()
+    let start = !pos in
+    let i = plain start in
+    if i < n && String.unsafe_get text i = '"' then begin
+      pos := i + 1;
+      String.sub text start (i - start)
+    end
+    else begin
+      (* Room for the rest of the input, up to 1 KB: a request's
+         instance text decodes without regrowing, and a document of
+         many short escaped strings does not allocate its own length
+         for each. *)
+      let b = Buffer.create (min (n - start) 1024) in
+      Buffer.add_substring b text start (i - start);
+      pos := i;
+      escaped b
+    end
   in
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+    let value = ref 0 and digits_only = ref true in
+    while
+      !pos < n
+      &&
+      match String.unsafe_get text !pos with
+      | '0' .. '9' as c ->
+          value := (!value * 10) + (Char.code c - 48);
+          true
+      | '-' | '+' | '.' | 'e' | 'E' ->
+          digits_only := false;
+          true
       | _ -> false
-    in
-    while !pos < n && is_num_char text.[!pos] do
-      advance ()
+    do
+      incr pos
     done;
-    let s = String.sub text start (!pos - start) in
-    match float_of_string_opt s with
-    | Some f -> Number f
-    | None -> fail ("bad number " ^ s)
+    if !digits_only && !pos - start <= max_int_digits then
+      Number (float_of_int !value)
+    else
+      let s = String.sub text start (!pos - start) in
+      match float_of_string_opt s with
+      | Some f -> Number f
+      | None -> fail ("bad number " ^ s)
   in
   (* Nesting is the only unbounded recursion in this parser (strings,
      numbers and the per-element loops are all tail calls), so a depth
@@ -203,12 +252,15 @@ let parse text =
   let rec parse_value depth =
     if depth > 512 then fail "nesting too deep (max 512)";
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get text !pos with
+    | '{' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
+        if at '}' then begin
+          incr pos;
+          Obj []
+        end
         else
           let rec fields acc =
             skip_ws ();
@@ -217,32 +269,45 @@ let parse text =
             expect ':';
             let v = parse_value (depth + 1) in
             skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); fields ((k, v) :: acc)
-            | Some '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
+            if at ',' then begin
+              incr pos;
+              fields ((k, v) :: acc)
+            end
+            else if at '}' then begin
+              incr pos;
+              Obj (List.rev ((k, v) :: acc))
+            end
+            else fail "expected ',' or '}'"
           in
           fields []
-    | Some '[' ->
-        advance ();
+    | '[' ->
+        incr pos;
         skip_ws ();
-        if peek () = Some ']' then begin advance (); List [] end
+        if at ']' then begin
+          incr pos;
+          List []
+        end
         else
           let rec elems acc =
             let v = parse_value (depth + 1) in
             skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elems (v :: acc)
-            | Some ']' -> advance (); List (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
+            if at ',' then begin
+              incr pos;
+              elems (v :: acc)
+            end
+            else if at ']' then begin
+              incr pos;
+              List (List.rev (v :: acc))
+            end
+            else fail "expected ',' or ']'"
           in
           elems []
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '-' | '0' .. '9' -> parse_number ()
+    | c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   match
     let v = parse_value 0 in
@@ -256,14 +321,18 @@ let parse text =
 
 (* ------------------------------------------------------------------ *)
 
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
+(* [String.equal], not [List.assoc_opt]'s polymorphic compare: a
+   request looks up about nine keys, on both hops. *)
+let rec assoc k = function
+  | [] -> None
+  | (k', v) :: rest -> if String.equal k k' then Some v else assoc k rest
+
+let member k = function Obj fields -> assoc k fields | _ -> None
 
 let to_str = function String s -> Some s | _ -> None
 
 let to_int = function
-  | Number f when Float.is_integer f && Float.abs f <= 2. ** 53. ->
+  | Number f when Float.is_integer f && Float.abs f <= 0x1p53 ->
       Some (int_of_float f)
   | _ -> None
 

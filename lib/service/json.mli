@@ -23,7 +23,10 @@ type t =
 
 val parse : string -> (t, string) result
 (** Parse one JSON document; trailing garbage after the document is an
-    error.  Errors name the offending byte offset. *)
+    error.  Errors name the offending byte offset.  A number made only
+    of digits (at most 15) is read exactly with integer arithmetic;
+    any other number goes through [float_of_string_opt], so [-0] keeps
+    its sign. *)
 
 val to_string : t -> string
 
@@ -37,7 +40,9 @@ val escape_into : Buffer.t -> string -> unit
     handlers can validate with [Option] pipelines instead of matching. *)
 
 val member : string -> t -> t option
-(** Field of an object ([None] on non-objects too). *)
+(** Field of an object ([None] on non-objects too).  Keys are compared
+    with [String.equal]; when a key occurs more than once, the first
+    binding in document order is returned. *)
 
 val to_str : t -> string option
 val to_int : t -> int option

@@ -34,9 +34,7 @@ let create ~capacity =
     m = Mutex.create ();
   }
 
-let locked t f =
-  Mutex.lock t.m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
+let locked t f = Mutex.protect t.m f
 
 let capacity t = t.capacity
 let length t = locked t (fun () -> Hashtbl.length t.table)

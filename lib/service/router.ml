@@ -130,10 +130,6 @@ let incr a = ignore (Atomic.fetch_and_add a 1)
 (* ------------------------------------------------------------------ *)
 (* Shard health. *)
 
-let with_lock mu f =
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
-
 let health_of t name =
   match Hashtbl.find_opt t.health name with
   | Some h -> h
@@ -145,26 +141,26 @@ let health_of t name =
 (* Down and still cooling?  A lapsed cooldown answers [false] without
    resetting [fails] — the caller's request is the half-open probe. *)
 let shard_down t name =
-  with_lock t.health_mu (fun () ->
+  Mutex.protect t.health_mu (fun () ->
       let h = health_of t name in
       h.fails >= t.config.unhealthy_after
       && Unix.gettimeofday () < h.down_until)
 
 let note_forward_ok t name =
-  with_lock t.health_mu (fun () ->
+  Mutex.protect t.health_mu (fun () ->
       let h = health_of t name in
       h.fails <- 0;
       h.down_until <- 0.)
 
 let note_forward_fail t name =
-  with_lock t.health_mu (fun () ->
+  Mutex.protect t.health_mu (fun () ->
       let h = health_of t name in
       h.fails <- h.fails + 1;
       if h.fails >= t.config.unhealthy_after then
         h.down_until <- Unix.gettimeofday () +. t.config.health_cooldown_s)
 
 let shard_healthy t name =
-  with_lock t.health_mu (fun () ->
+  Mutex.protect t.health_mu (fun () ->
       (health_of t name).fails < t.config.unhealthy_after)
 
 (* Typed unavailability: every forward-level failure is reported with
@@ -468,8 +464,8 @@ let handle_batch t conns oc ~env ~lang ~k ~fuel ~timeout_s ~instances =
          ( "service",
            Wire.json_obj
              [
-               ("queue_wait_s", Printf.sprintf "%.6f" 0.);
-               ("wall_s", Printf.sprintf "%.6f" wall_s);
+               ("queue_wait_s", Wire.fixed6 0.);
+               ("wall_s", Wire.fixed6 wall_s);
              ] );
        ])
 

@@ -31,9 +31,7 @@ module Admission = struct
       draining = false;
     }
 
-  let locked g f =
-    Mutex.lock g.m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock g.m) f
+  let locked g f = Mutex.protect g.m f
 
   let admit g =
     locked g (fun () ->
@@ -130,6 +128,7 @@ type t = {
   n_errors : int Atomic.t;
   n_metrics : int Atomic.t;
   req_ids : int Atomic.t;
+  req_id_prefix : string;
   stop : bool Atomic.t;
 }
 
@@ -195,6 +194,7 @@ let create ?(config = default_config) addr =
     n_errors = Atomic.make 0;
     n_metrics = Atomic.make 0;
     req_ids = Atomic.make 0;
+    req_id_prefix = Printf.sprintf "req-%d-" (Unix.getpid ());
     stop = Atomic.make false;
   }
 
@@ -318,8 +318,8 @@ let service_fields ~queue_wait_s ~wall_s =
   ( "service",
     Wire.json_obj
       [
-        ("queue_wait_s", Printf.sprintf "%.6f" queue_wait_s);
-        ("wall_s", Printf.sprintf "%.6f" wall_s);
+        ("queue_wait_s", Wire.fixed6 queue_wait_s);
+        ("wall_s", Wire.fixed6 wall_s);
       ] )
 
 (* One instance through the cache, in two halves.  [decide_front] is
@@ -416,7 +416,7 @@ let progress_sink oc =
     [
       ("progress", Wire.json_string event);
       ("phase", Wire.json_string s.Obs.name);
-      ("t_s", Printf.sprintf "%.6f" (s.Obs.start_s -. t0));
+      ("t_s", Wire.fixed6 (s.Obs.start_s -. t0));
       ("depth", string_of_int s.Obs.depth);
     ]
   in
@@ -437,7 +437,7 @@ let progress_sink oc =
         last := now_c;
         emit
           (base "exit" s
-          @ [ ("dur_s", Printf.sprintf "%.6f" (s.Obs.stop_s -. s.Obs.start_s)) ]
+          @ [ ("dur_s", Wire.fixed6 (s.Obs.stop_s -. s.Obs.start_s)) ]
           @ if deltas = [] then [] else [ ("counters", Wire.json_obj deltas) ])
       end)
 
@@ -483,14 +483,13 @@ let note_slow t ~op ~digest ~queue_wait_s ~wall_s ~phases =
              ( "digest",
                match digest with Some d -> Wire.json_string d | None -> "null"
              );
-             ("wall_s", Printf.sprintf "%.6f" wall_s);
+             ("wall_s", Wire.fixed6 wall_s);
              ( "phases",
                Wire.json_obj
-                 (( ("queue_wait_s", Printf.sprintf "%.6f" queue_wait_s)
-                  :: ("work_s", Printf.sprintf "%.6f" (wall_s -. queue_wait_s))
+                 (( ("queue_wait_s", Wire.fixed6 queue_wait_s)
+                  :: ("work_s", Wire.fixed6 (wall_s -. queue_wait_s))
                   :: List.map
-                       (fun (name, total_s) ->
-                         (name, Printf.sprintf "%.6f" total_s))
+                       (fun (name, total_s) -> (name, Wire.fixed6 total_s))
                        (phases ()) )) );
            ])
   | _ -> ()
@@ -501,7 +500,8 @@ let note_slow t ~op ~digest ~queue_wait_s ~wall_s ~phases =
    work, and removes them again on every exit path — a sink must never
    outlive its request. *)
 let with_request_sinks t oc ~(env : Wire.envelope) f =
-  if not (Obs.enabled ()) then f (fun () -> [])
+  if not (Obs.enabled ()) || (not env.Wire.stream && t.config.slow_ms = None)
+  then f (fun () -> [])
   else begin
     let sinks = if env.Wire.stream then [ progress_sink oc ] else [] in
     let sinks, phases =
@@ -816,8 +816,8 @@ let handle_request t oc line =
             | None ->
                 if Obs.enabled () || t.config.slow_ms <> None then
                   Some
-                    (Printf.sprintf "req-%d-%d" (Unix.getpid ())
-                       (Atomic.fetch_and_add t.req_ids 1))
+                    (t.req_id_prefix
+                    ^ string_of_int (Atomic.fetch_and_add t.req_ids 1))
                 else None
           in
           let work () =

@@ -95,8 +95,9 @@ let find t key =
       | Ok e -> Some e
       | Error _ ->
           (* Intact bytes that do not decode: a record from an older
-             build.  Drop it and recompute. *)
-          Store.Log.remove t key;
+             build.  Drop it and recompute; if the delete record does
+             not land, the next find drops it again. *)
+          (try Store.Log.remove t key with Store.Log.Append_failed _ -> ());
           None)
 
 let put t key e = Store.Log.put t key (encode e)

@@ -65,7 +65,12 @@ val find : t -> string -> entry option
     removed from the store and reads as [None]. *)
 
 val put : t -> string -> entry -> unit
+(** @raise Store.Log.Append_failed when the record did not land; the
+    store is as before the call. *)
+
 val remove : t -> string -> unit
+(** @raise Store.Log.Append_failed likewise. *)
+
 val compact : t -> unit
 val sync : t -> unit
 val close : t -> unit

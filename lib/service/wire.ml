@@ -42,6 +42,36 @@ let json_obj fields =
 
 let json_list xs = "[" ^ String.concat "," xs ^ "]"
 
+(* [Printf.sprintf "%.6f" x] for the service's timings, without Printf.
+   For 0 <= x < 1e9 the product [y = x *. 1e6] is below 2^52, where
+   every half-integer is a double; rounding is monotone, so [y] lies on
+   the same side of each tie as the exact product, or on the tie itself.
+   Rounding [y] to the nearest integer therefore gives the digits [%.6f]
+   prints, except on a tie, which Printf settles on the exact binary
+   value: those (within a margin of 1e-3), a negative sign (-0
+   included), the non-finite values and anything larger go to Printf. *)
+let fixed6 x =
+  let y = x *. 1e6 in
+  if Float.sign_bit x || not (x < 1e9) then Printf.sprintf "%.6f" x
+  else
+    let whole = Float.of_int (Float.to_int y) in
+    if Float.abs (y -. whole -. 0.5) < 1e-3 then Printf.sprintf "%.6f" x
+    else
+      (* The digits of [m], with the point six from the end. *)
+      let m = Float.to_int (Float.round y) in
+      let rec int_digits n = if n < 10 then 1 else 1 + int_digits (n / 10) in
+      let point = int_digits (m / 1_000_000) in
+      let b = Bytes.create (point + 7) in
+      let rest = ref m in
+      for i = point + 6 downto 0 do
+        if i = point then Bytes.unsafe_set b i '.'
+        else begin
+          Bytes.unsafe_set b i (Char.unsafe_chr (48 + (!rest mod 10)));
+          rest := !rest / 10
+        end
+      done;
+      Bytes.unsafe_to_string b
+
 (* Response integrity: a sealed response line ends with a ["crc"] field
    holding the CRC-32 (8 hex digits) of the object rendered without it.
    The seal rides inside the JSON object, so a router can relay a shard
@@ -320,7 +350,7 @@ let opt f = function None -> [] | Some v -> [ f v ]
 let budget_fields ~k ~fuel ~timeout_s =
   opt (fun k -> ("k", string_of_int k)) k
   @ opt (fun f -> ("fuel", string_of_int f)) fuel
-  @ opt (fun s -> ("timeout_s", Printf.sprintf "%.6f" s)) timeout_s
+  @ opt (fun s -> ("timeout_s", fixed6 s)) timeout_s
 
 let request_fields = function
   | Ping -> [ ("op", json_string "ping") ]

@@ -66,6 +66,13 @@ val json_string : string -> string
 val json_obj : (string * string) list -> string
 val json_list : string list -> string
 
+val fixed6 : float -> string
+(** [Printf.sprintf "%.6f"], byte for byte, without Printf on the
+    common case: every timing the service renders (the [service] block,
+    progress frames, the slow-request log, a request's [timeout_s])
+    goes through it.  Negative, non-finite, huge ([>= 1e9]) and
+    near-tie values take Printf's own path. *)
+
 (** {2 Response integrity}
 
     Every response line the server or router composes is {e sealed}: a

@@ -50,8 +50,11 @@ type t = {
   mutable compactions : int;
   mutable recovered : int;
   mutable truncated_bytes : int;
+  mutable read_only : bool;
   m : Mutex.t;
 }
+
+exception Append_failed of string
 
 let snapshot_file dir = Filename.concat dir "snapshot.bin"
 let log_file dir = Filename.concat dir "log.bin"
@@ -180,6 +183,7 @@ let open_ ?(fsync = Every 64) ?(auto_compact_bytes = 0) dir =
       compactions = 0;
       recovered = 0;
       truncated_bytes = 0;
+      read_only = false;
       m = Mutex.create ();
     }
   in
@@ -262,34 +266,62 @@ let after_append t =
         t.unsynced <- 0
       end
 
+(* Append one frame at [log_bytes] and return its offset.  A write
+   that does not put the whole frame in the file (a short write, or a
+   [Unix.write] that raises, e.g. on ENOSPC) is cut back off: the file
+   is truncated to the frame's start, [log_bytes] does not move, and
+   the append raises [Append_failed], so the index never names an
+   offset past a partial frame.  If the cut fails too, the file's tail
+   is unknown and the log refuses every later append until it is
+   reopened, whose recovery truncates the tail to the last valid
+   frame. *)
 let append t ~kind ~key ~value =
+  if t.read_only then
+    raise (Append_failed "log is read-only after a failed truncation; reopen it");
   Obs.Histogram.time h_append (fun () ->
       let b = frame ~kind ~key ~value in
-      (* Failpoints: bit-rot one byte of the frame, or tear the write
-         short, before the bytes reach the file.  Either way the
-         in-memory index keeps accounting as if the append succeeded —
-         the damage is only discoverable by a reader, which is the
-         safety property under test: the CRC check on every read must
-         degrade the damage to a recompute, never serve it. *)
-      if Fault.Failpoint.armed () then begin
-        if Fault.Failpoint.fire "store.append.corrupt" then begin
-          let salt = Fault.Failpoint.salt "store.append.corrupt" in
-          let n = Bytes.length b in
-          let pos = Fault.Rng.mix salt t.appends mod n in
-          let mask = 1 + (Fault.Rng.mix salt (t.appends + 1) mod 255) in
-          Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask land 0xff))
-        end;
-        if Fault.Failpoint.fire "store.append.torn" then begin
-          let keep = max 1 (Bytes.length b / 2) in
-          write_all t.log_write (Bytes.sub b 0 keep)
-        end
-        else write_all t.log_write b
-      end
-      else write_all t.log_write b;
       let off = t.log_bytes in
-      t.log_bytes <- t.log_bytes + Bytes.length b;
-      after_append t;
-      off)
+      let write b = write_all t.log_write b; Bytes.length b in
+      (* Failpoints: bit-rot one byte of the frame, or tear the write
+         short, before the bytes reach the file.  A corrupt frame is
+         indexed as if the append succeeded — the damage is only
+         discoverable by a reader, which is the safety property under
+         test: the CRC check on every read must degrade it to a
+         recompute, never serve it.  A torn write is a short write, cut
+         back off like any other. *)
+      let outcome =
+        match
+          if Fault.Failpoint.armed () then begin
+            if Fault.Failpoint.fire "store.append.corrupt" then begin
+              let salt = Fault.Failpoint.salt "store.append.corrupt" in
+              let n = Bytes.length b in
+              let pos = Fault.Rng.mix salt t.appends mod n in
+              let mask = 1 + (Fault.Rng.mix salt (t.appends + 1) mod 255) in
+              Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor mask land 0xff))
+            end;
+            if Fault.Failpoint.fire "store.append.torn" then
+              write (Bytes.sub b 0 (max 1 (Bytes.length b / 2)))
+            else write b
+          end
+          else write b
+        with
+        | n when n = Bytes.length b -> Ok ()
+        | n -> Error (Printf.sprintf "short write (%d of %d bytes)" n (Bytes.length b))
+        | exception Unix.Unix_error (e, fn, _) -> Error (fn ^ ": " ^ Unix.error_message e)
+      in
+      match outcome with
+      | Ok () ->
+          t.log_bytes <- off + Bytes.length b;
+          after_append t;
+          off
+      | Error why ->
+          (match
+             Unix.ftruncate t.log_write off;
+             Unix.lseek t.log_write off Unix.SEEK_SET
+           with
+          | _ -> ()
+          | exception Unix.Unix_error _ -> t.read_only <- true);
+          raise (Append_failed ("store append failed: " ^ why)))
 
 (* Every live binding whose frame still reads back. *)
 let live_bindings t =

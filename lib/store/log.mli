@@ -70,12 +70,24 @@ val find : t -> string -> string option
 
 val mem : t -> string -> bool
 
+exception Append_failed of string
+(** An append did not reach the file whole: a short write, or a write
+    that failed (e.g. [ENOSPC]).  The partial frame has been truncated
+    away and the store is exactly as before the call.  If that
+    truncation failed as well, the log is read-only until the next
+    {!open_} (whose recovery cuts the tail back to the last valid
+    frame), and every later {!put} and {!remove} raises this too. *)
+
 val put : t -> string -> string -> unit
 (** Insert or overwrite.  The old record, if any, becomes garbage until
-    the next compaction. *)
+    the next compaction.
+    @raise Append_failed when the record could not be appended; the
+    previous binding, if any, stays. *)
 
 val remove : t -> string -> unit
-(** Appends a delete record (no-op when the key is absent). *)
+(** Appends a delete record (no-op when the key is absent).
+    @raise Append_failed when the record could not be appended; the
+    binding stays. *)
 
 val iter : t -> (string -> string -> unit) -> unit
 (** Visit every live binding whose frame checks out (order

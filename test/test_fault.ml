@@ -191,6 +191,89 @@ let test_store_fsync_skip () =
         (Store.Log.find s "k1");
       Store.Log.close s)
 
+(* One torn append must not misalign the rest of the log.  The log cuts
+   the partial frame back off, so the index keeps naming the offsets
+   where frames really start: every later put reads back, live and
+   after a reopen.  (Whether the torn put itself reports failure is
+   pinned by the next test; this one only watches what follows it.) *)
+let test_store_torn_append () =
+  let dir = temp_dir "faulttorn" in
+  Fun.protect ~finally:Fault.Failpoint.disarm (fun () ->
+      (match Fault.Failpoint.arm "store.append.torn=after:1" with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      let s = Store.Log.open_ ~fsync:Store.Log.Never dir in
+      Store.Log.put s "before" "kept";
+      (try Store.Log.put s "torn" "only half of this frame reaches the file"
+       with _ -> ());
+      Fault.Failpoint.disarm ();
+      let later = List.init 5 (fun i -> (Printf.sprintf "later%d" i, String.make (i + 3) 'v')) in
+      List.iter (fun (k, v) -> Store.Log.put s k v) later;
+      let read_back s =
+        List.length (List.filter (fun (k, v) -> Store.Log.find s k = Some v) later)
+      in
+      Alcotest.(check int) "later puts read back live" 5 (read_back s);
+      Alcotest.(check (option string)) "earlier put intact" (Some "kept")
+        (Store.Log.find s "before");
+      Alcotest.(check (option string)) "torn put not stored" None
+        (Store.Log.find s "torn");
+      Store.Log.close s;
+      let s = Store.Log.open_ dir in
+      Alcotest.(check int) "later puts read back after reopen" 5 (read_back s);
+      Alcotest.(check (option int)) "nothing left to truncate" (Some 0)
+        (List.assoc_opt "recovery_truncated_bytes" (Store.Log.stats s));
+      Store.Log.close s)
+
+(* The torn put fails with the typed error and leaves the log exactly as
+   it was; the cache above it still serves the verdict from memory and
+   counts the failed write-through. *)
+let test_store_torn_append_typed () =
+  let dir = temp_dir "faulttyped" in
+  Fun.protect ~finally:Fault.Failpoint.disarm (fun () ->
+      let s = Store.Log.open_ ~fsync:Store.Log.Never dir in
+      Store.Log.put s "a" "1";
+      let before = Store.Log.stats s in
+      (match Fault.Failpoint.arm "store.append.torn=once" with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      (match Store.Log.put s "b" "2" with
+      | () -> Alcotest.fail "a torn put reported success"
+      | exception Store.Log.Append_failed _ -> ());
+      Fault.Failpoint.disarm ();
+      Alcotest.(check (list (pair string int))) "stats unchanged" before
+        (Store.Log.stats s);
+      Alcotest.(check int) "file holds whole frames only"
+        (List.assoc "log_bytes" before)
+        (Unix.stat (Filename.concat dir "log.bin")).Unix.st_size;
+      Store.Log.close s);
+  Definability.Deciders.init ();
+  let module Gen = Datagraph.Graph_gen in
+  let fig1 = Gen.fig1 () in
+  let s2 = Datagraph.Tuple_relation.of_binary (Gen.fig1_s2 fig1) in
+  let tier = Service.Tier.open_ ~fsync:Store.Log.Never (temp_dir "faulttier") in
+  let cache = Service.Cache.create ~durable:tier () in
+  let decide () =
+    match Service.Cache.decide cache ~lang:"rem" fig1 s2 with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  Fun.protect ~finally:Fault.Failpoint.disarm (fun () ->
+      (match Fault.Failpoint.arm "store.append.torn=once" with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      let cold, origin = decide () in
+      Alcotest.(check bool) "cold miss" true (origin = `Miss);
+      Fault.Failpoint.disarm ();
+      let warm, origin = decide () in
+      Alcotest.(check bool) "served from memory" true (origin = `Hit);
+      Alcotest.(check string) "same verdict block"
+        (Service.Wire.verdict_to_string fig1 ~lang:"rem" cold)
+        (Service.Wire.verdict_to_string fig1 ~lang:"rem" warm);
+      Alcotest.(check (option int)) "failed write-through counted" (Some 1)
+        (List.assoc_opt "store_write_failures" (Service.Cache.counters cache));
+      Alcotest.(check int) "nothing stored" 0 (Service.Tier.length tier);
+      Service.Cache.close cache)
+
 (* ---------- chaos proxy ---------- *)
 
 let test_proxy_rules_roundtrip () =
@@ -390,6 +473,9 @@ let () =
           Alcotest.test_case "store corrupt live reads" `Quick
             test_store_corrupt_live_reads;
           Alcotest.test_case "store fsync skip" `Quick test_store_fsync_skip;
+          Alcotest.test_case "store torn append" `Quick test_store_torn_append;
+          Alcotest.test_case "store torn append typed" `Quick
+            test_store_torn_append_typed;
         ] );
       ( "proxy",
         [

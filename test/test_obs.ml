@@ -390,6 +390,132 @@ let test_csp_cache_alternation () =
     (v "hom.csp_cache_misses");
   Alcotest.(check int) "remaining probes hit" 4 (v "hom.csp_cache_hits")
 
+(* ---------- the zero-sink plane ---------- *)
+
+(* A server enables the plane with no sink unless asked to trace; spans
+   then skip the lane lookup, the trace context and the sink lock.  What
+   they must still keep: the depth, and enough of the span that a sink
+   installed inside it receives its exit whole. *)
+let test_sink_added_inside_span () =
+  let seen = ref [] in
+  let sink = Obs.Sink.make (fun s -> seen := s :: !seen) in
+  let before = Unix.gettimeofday () in
+  let added = ref 0. in
+  observed [] (fun () ->
+      Obs.Ctx.with_trace (Some "late-sink") (fun () ->
+          Obs.Span.with_ "outer" (fun () ->
+              Obs.Span.with_ "inner" (fun () ->
+                  added := Unix.gettimeofday ();
+                  Obs.add_sink sink))));
+  Obs.remove_sink sink;
+  match List.rev !seen with
+  | [ inner; outer ] ->
+      Alcotest.(check (list string)) "names" [ "inner"; "outer" ]
+        [ inner.Obs.name; outer.Obs.name ];
+      Alcotest.(check (list int)) "depths" [ 1; 0 ] [ inner.depth; outer.depth ];
+      Alcotest.(check bool) "start times from entry" true
+        (before <= outer.start_s && outer.start_s <= inner.start_s
+        && inner.start_s <= !added && !added <= inner.stop_s);
+      Alcotest.(check (list (option string))) "trace context"
+        [ Some "late-sink"; Some "late-sink" ] [ inner.trace; outer.trace ];
+      Alcotest.(check (list int)) "recording lane"
+        [ (Domain.self () :> int); (Domain.self () :> int) ]
+        [ inner.dom; outer.dom ]
+  | l -> Alcotest.failf "expected two exits, got %d" (List.length l)
+
+let test_depth_without_sinks () =
+  let depth_of_probe () =
+    let d = ref (-1) in
+    let probe = Obs.Sink.make (fun s -> if s.Obs.name = "probe" then d := s.depth) in
+    Obs.add_sink probe;
+    Obs.Span.with_ "probe" (fun () -> ());
+    Obs.remove_sink probe;
+    !d
+  in
+  let inside =
+    observed [] (fun () ->
+        Obs.Span.with_ "a" (fun () ->
+            Obs.Span.with_ "b" (fun () -> ());
+            Obs.Span.with_ "c" (fun () -> Obs.Span.with_ "d" depth_of_probe)))
+  in
+  Alcotest.(check int) "three spans open" 3 inside;
+  let after_raise =
+    observed [] (fun () ->
+        (try Obs.Span.with_ "boom" (fun () -> Obs.Span.with_ "deeper" (fun () -> failwith "no"))
+         with Failure _ -> ());
+        depth_of_probe ())
+  in
+  Alcotest.(check int) "depth restored after a raise" 0 after_raise
+
+(* A server on the zero-sink plane still counts every request in one
+   registry: [stats] and [metrics] render the same [service.*] counts,
+   and each served decide and batch lands once in its [op.*]
+   histogram. *)
+let test_zero_sink_server_counts () =
+  let module Wire = Service.Wire in
+  let module Json = Service.Json in
+  let path = Filename.temp_file "obsplane" ".sock" in
+  let addr = Wire.Unix_sock path in
+  observed [] (fun () ->
+      let srv = Service.Server.create addr in
+      let th = Thread.create Service.Server.run srv in
+      Fun.protect
+        ~finally:(fun () ->
+          Service.Server.shutdown srv;
+          Thread.join th)
+        (fun () ->
+          Service.Client.with_connection addr (fun conn ->
+              let request r =
+                match Service.Client.request conn r with
+                | Ok j -> j
+                | Error e -> Alcotest.fail e
+              in
+              let text = Datagraph.Graph_io.instance_to_string fig1 (Datagraph.Tuple_relation.of_binary s2) in
+              let decide =
+                Wire.Decide { lang = "rem"; k = None; fuel = None; timeout_s = None; instance = text }
+              in
+              ignore (request decide);
+              ignore (request decide);
+              ignore (request Wire.Ping);
+              ignore
+                (request
+                   (Wire.Batch
+                      { lang = "rem"; k = None; fuel = None; timeout_s = None; instances = [ text; text ] }));
+              let stats =
+                match Json.member "stats" (request Wire.Stats) with
+                | Some (Json.Obj kvs) ->
+                    List.filter_map (fun (k, v) -> Option.map (fun n -> (k, n)) (Json.to_int v)) kvs
+                | _ -> Alcotest.fail "no stats object"
+              in
+              let snap =
+                match
+                  Option.bind (Json.member "data" (request Wire.Metrics)) (fun d ->
+                      Result.to_option (Service.Metrics.of_json d))
+                with
+                | Some s -> s
+                | None -> Alcotest.fail "metrics snapshot unparsable"
+              in
+              List.iter
+                (fun (name, v) ->
+                  if String.starts_with ~prefix:"service." name then begin
+                    let key =
+                      String.map (fun c -> if c = '.' then '_' else c)
+                        (String.sub name 8 (String.length name - 8))
+                    in
+                    if not (List.mem key [ "requests"; "stats_ops"; "metrics_ops" ]) then
+                      Alcotest.(check (option int)) name (Some v) (List.assoc_opt key stats)
+                  end)
+                snap.Service.Metrics.counters;
+              let recorded h =
+                match List.assoc_opt h snap.Service.Metrics.histograms with
+                | Some s -> Obs.Histogram.total s
+                | None -> 0
+              in
+              Alcotest.(check (option int)) "decides counted" (Some 2) (List.assoc_opt "decides" stats);
+              Alcotest.(check int) "op.decide recorded per decide" 2 (recorded "op.decide");
+              Alcotest.(check (option int)) "batches counted" (Some 1) (List.assoc_opt "batches" stats);
+              Alcotest.(check int) "op.batch recorded per batch" 1 (recorded "op.batch"))))
+
 let () =
   Alcotest.run "obs"
     [
@@ -420,5 +546,13 @@ let () =
         [
           Alcotest.test_case "alternating graphs" `Quick
             test_csp_cache_alternation;
+        ] );
+      ( "zero-sink",
+        [
+          Alcotest.test_case "sink added inside a span" `Quick
+            test_sink_added_inside_span;
+          Alcotest.test_case "depth without sinks" `Quick test_depth_without_sinks;
+          Alcotest.test_case "server counts agree" `Quick
+            test_zero_sink_server_counts;
         ] );
     ]

@@ -222,6 +222,263 @@ let qcheck_tests =
              = `Sealed_ok);
     ]
 
+(* ---------- reference agreement ---------- *)
+
+(* Values compared structurally, except that a number must also keep
+   its sign bit: [-0] and [0] are [=] but print differently. *)
+let rec same_json (a : Json.t) (b : Json.t) =
+  match (a, b) with
+  | Number x, Number y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | List xs, List ys -> List.length xs = List.length ys && List.for_all2 same_json xs ys
+  | Obj xs, Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (l, y) -> String.equal k l && same_json x y) xs ys
+  | _ -> a = b
+
+let same_result a b =
+  match (a, b) with
+  | Ok x, Ok y -> same_json x y
+  | Error e, Error f -> String.equal e f
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let gen_number =
+  QCheck.Gen.(
+    oneof
+      [
+        map float_of_int (int_range (-1000) 1_000_000);
+        map float_of_int (int_range 0 max_int);
+        oneofl [ 0.; -0.; 1e15; 999999999999999.; 1e16; 0.5; -2.5e-7; 1e300 ];
+        float;
+      ])
+
+(* Strings that exercise every escape: quotes, backslashes, control
+   bytes, high bytes and multi-byte UTF-8. *)
+let gen_text =
+  QCheck.Gen.(
+    string_size ~gen:
+      (oneof
+         [
+           printable;
+           char;
+           oneofl [ '"'; '\\'; '\n'; '\t'; '\001'; '\x7f'; '\xc3'; '\xa9'; '\xf0' ];
+         ])
+      (int_bound 12))
+
+let gen_doc =
+  QCheck.Gen.(
+    sized_size (int_bound 3) @@ fix (fun self depth ->
+        let leaf =
+          oneof
+            [
+              return Json.Null;
+              map (fun b -> Json.Bool b) bool;
+              map (fun f -> Json.Number f) gen_number;
+              map (fun s -> Json.String s) gen_text;
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              (1, map (fun xs -> Json.List xs) (list_size (int_bound 4) (self (depth - 1))));
+              ( 1,
+                map
+                  (fun kvs -> Json.Obj kvs)
+                  (list_size (int_bound 4)
+                     (pair (oneof [ gen_text; oneofl [ "op"; "k"; "op" ] ]) (self (depth - 1)))) );
+            ]))
+
+(* The same document written by hand: random whitespace between tokens,
+   and string bytes sometimes spelled as \u escapes — ASCII, two- and
+   three-byte code points, surrogate pairs and lone or mismatched
+   surrogates, whose errors must match too. *)
+let spell rng doc =
+  let b = Buffer.create 64 in
+  let ws () =
+    for _ = 1 to Random.State.int rng 3 do
+      Buffer.add_char b (List.nth [ ' '; '\t'; '\n'; '\r' ] (Random.State.int rng 4))
+    done
+  in
+  let u cp = Buffer.add_string b (Printf.sprintf "\\u%04x" cp) in
+  let add_string s =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match Random.State.int rng 8 with
+        | 0 -> u (Char.code c)
+        | 1 -> u (0x80 + Random.State.int rng 0xF780)
+        | 2 ->
+            u (0xD800 + Random.State.int rng 0x400);
+            u (0xDC00 + Random.State.int rng 0x400)
+        | 3 when Random.State.int rng 8 = 0 ->
+            (* A lone high surrogate, or one followed by a non-low half. *)
+            u (0xD800 + Random.State.int rng 0x400);
+            if Random.State.bool rng then u (Random.State.int rng 0xD800)
+        | _ -> Json.escape_into b (String.make 1 c))
+      s;
+    Buffer.add_char b '"'
+  in
+  let rec go (v : Json.t) =
+    ws ();
+    (match v with
+    | String s -> add_string s
+    | List xs ->
+        Buffer.add_char b '[';
+        List.iteri
+          (fun i x ->
+            if i > 0 then (ws (); Buffer.add_char b ',');
+            go x)
+          xs;
+        ws ();
+        Buffer.add_char b ']'
+    | Obj kvs ->
+        Buffer.add_char b '{';
+        List.iteri
+          (fun i (k, x) ->
+            if i > 0 then (ws (); Buffer.add_char b ',');
+            ws ();
+            add_string k;
+            ws ();
+            Buffer.add_char b ':';
+            go x)
+          kvs;
+        ws ();
+        Buffer.add_char b '}'
+    | Number f when Float.is_integer f && f >= 0. && f < 1e19 && Random.State.bool rng ->
+        (* A bare digit run, past 15 digits too, with leading zeros. *)
+        Buffer.add_string b (String.make (Random.State.int rng 3) '0');
+        Buffer.add_string b (Printf.sprintf "%.0f" f)
+    | v -> Buffer.add_string b (Json.to_string v));
+    ws ()
+  in
+  go doc;
+  Buffer.contents b
+
+let request_lines =
+  sample_lines
+  @ [
+      pinned_request;
+      Wire.request_line
+        ~envelope:{ Wire.trace_id = Some "t-1"; parent_span = None; stream = true }
+        (Wire.Decide
+           {
+             lang = "krem";
+             k = Some 2;
+             fuel = Some 100000;
+             timeout_s = Some 1.5;
+             instance = "node v1 0\nnode v2 1\nedge v1 a v2\ntuple v1 v2\n";
+           });
+      Wire.request_to_string
+        (Wire.Delta
+           {
+             lang = "rem";
+             k = None;
+             fuel = Some 2000;
+             timeout_s = Some 0.25;
+             digest = "0123456789abcdef0123456789abcdef";
+             edit = Wire.Set_relation [ [ "v1"; "v2" ]; [ "v\"3"; "v\\4" ] ];
+           });
+    ]
+
+(* Up to four byte flips, then maybe a cut, of a real request line. *)
+let damage rng line =
+  let b = Bytes.of_string line in
+  for _ = 1 to Random.State.int rng 5 do
+    Bytes.set b (Random.State.int rng (Bytes.length b)) (Char.chr (Random.State.int rng 256))
+  done;
+  let s = Bytes.to_string b in
+  if Random.State.bool rng then String.sub s 0 (Random.State.int rng (String.length s + 1))
+  else s
+
+(* Number tokens alone: digit runs of every length around the integer
+   fast path's 15-digit limit, signs, fractions and exponents. *)
+let gen_number_token =
+  QCheck.Gen.(
+    map
+      (fun (sign, digits, frac, exp) -> sign ^ digits ^ frac ^ exp)
+      (quad
+         (oneofl [ ""; ""; "-"; "+" ])
+         (string_size ~gen:numeral (int_range 0 24))
+         (oneofl [ ""; ""; "."; ".0"; ".5" ])
+         (oneofl [ ""; ""; "e5"; "E-3"; "e" ])))
+
+let gen_json_input =
+  QCheck.Gen.(
+    oneof
+      [
+        gen_number_token;
+        map (fun t -> "[" ^ t ^ "]") gen_number_token;
+        map Json.to_string gen_doc;
+        map2 (fun doc seed -> spell (Random.State.make [| seed |]) doc) gen_doc int;
+        map2
+          (fun line seed -> damage (Random.State.make [| seed |]) line)
+          (oneofl request_lines) int;
+      ])
+
+let prop_parse_reference =
+  QCheck.Test.make ~count:1000 ~long_factor:50 ~name:"json parse = reference"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_json_input)
+    (fun s -> same_result (Json.parse s) (Json_oracle.parse s))
+
+(* Timings as the service produces them, and every edge [fixed6] must
+   hand to Printf: ties and near-ties of the sixth decimal, -0 and the
+   other negatives, the non-finite values and values past 1e9. *)
+let gen_seconds =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0.; -0.; nan; infinity; neg_infinity; 1e9; 1e9 -. 1e-6; 999999999.9999995; 0.0000005; 1e-300 ];
+        map (fun n -> (float_of_int n +. 0.5) /. 1e6) (int_bound 1_000_000_000);
+        map2
+          (fun n k ->
+            let tie = (float_of_int n +. 0.5) /. 1e6 in
+            List.nth [ Float.pred tie; Float.succ tie; tie +. (float_of_int k *. 1e-12) ] (abs k mod 3))
+          (int_bound 1_000_000_000) (int_range (-2000) 2000);
+        map (fun f -> -.f) (float_bound_inclusive 1e3);
+        map (fun f -> 1e9 +. f) (float_bound_inclusive 1e12);
+        (* Differences of two gettimeofday readings. *)
+        map2
+          (fun t0 d -> (1.7e9 +. t0 +. d) -. (1.7e9 +. t0))
+          (float_bound_inclusive 1e7) (float_bound_inclusive 5.);
+        float_bound_inclusive 1e9;
+        map (fun e -> 10. ** e) (float_range (-9.) 9.);
+        (* Near-ties up to the 1e9 cut, where [x *. 1e6] is coarsest. *)
+        map2
+          (fun n k -> ((float_of_int n +. 0.5) /. 1e6) +. (float_of_int k *. 1e-7))
+          (int_range 0 999_999_999_999_999) (int_range (-3) 3);
+      ])
+
+let prop_fixed6_reference =
+  QCheck.Test.make ~count:5000 ~long_factor:50 ~name:"fixed6 = Printf %.6f"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_seconds)
+    (fun x -> String.equal (Wire.fixed6 x) (Printf.sprintf "%.6f" x))
+
+let test_member_first_binding () =
+  match Json.parse "{\"op\":\"decide\",\"k\":1,\"op\":\"ping\",\"k\":2}" with
+  | Error e -> Alcotest.fail e
+  | Ok j ->
+      Alcotest.(check (option string)) "first op" (Some "decide")
+        (Option.bind (Json.member "op" j) Json.to_str);
+      Alcotest.(check (option int)) "first k" (Some 1)
+        (Option.bind (Json.member "k" j) Json.to_int);
+      Alcotest.(check bool) "reference agrees" true
+        (Json.member "op" j = Json_oracle.member "op" j);
+      Alcotest.(check bool) "absent key" true (Json.member "lang" j = None)
+
+(* Digests of the Figure 1 instance text (S2), recorded before
+   [text_key] stopped going through Printf. *)
+let test_pinned_text_key () =
+  let fig1 = Datagraph.Graph_gen.fig1 () in
+  let text =
+    Datagraph.Graph_io.instance_to_string fig1
+      (Datagraph.Tuple_relation.of_binary (Datagraph.Graph_gen.fig1_s2 fig1))
+  in
+  Alcotest.(check string) "rem k=1" "e7194ec93128cc4eb14998d086ea7d68"
+    (Service.Content_hash.text_key ~lang:"rem" ~k:1 text);
+  Alcotest.(check string) "krem k=2" "f6c786719cb86f90a47b37b5cb79a738"
+    (Service.Content_hash.text_key ~lang:"krem" ~k:2 text)
+
 let () =
   Alcotest.run "wire_fuzz"
     [
@@ -234,6 +491,16 @@ let () =
             test_corrupted_seal_never_ok;
         ] );
       ( "seal",
-        [ Alcotest.test_case "pinned lines" `Quick test_pinned_seals ] );
+        [
+          Alcotest.test_case "pinned lines" `Quick test_pinned_seals;
+          Alcotest.test_case "pinned text key" `Quick test_pinned_text_key;
+        ] );
       ("qcheck", qcheck_tests);
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest prop_parse_reference;
+          QCheck_alcotest.to_alcotest prop_fixed6_reference;
+          Alcotest.test_case "member first binding" `Quick
+            test_member_first_binding;
+        ] );
     ]
