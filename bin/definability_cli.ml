@@ -687,6 +687,16 @@ let slow_ms_arg =
            least $(docv) milliseconds emits one JSON line on stderr with \
            its trace id, op, digest and phase breakdown.")
 
+let idle_timeout_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "idle-timeout-s" ] ~docv:"SECONDS"
+        ~doc:
+          "Close a keep-alive connection whose next request does not \
+           arrive within $(docv) seconds, so idle clients stop holding \
+           a handler thread each (default: wait forever).")
+
 let serve_cmd =
   let run addr domains fuel timeout max_inflight queue_depth cache_size store
       fsync auto_compact shard trace slow_ms idle_timeout failpoints
@@ -747,6 +757,9 @@ let serve_cmd =
         | None -> "defcheck serve")
       trace;
     match Service.Server.create ~config addr with
+    | exception Failure msg ->
+        Printf.eprintf "error: %s\n" msg;
+        exit 2
     | exception Unix.Unix_error (e, _, arg) ->
         Printf.eprintf "error: cannot listen on %s: %s (%s)\n"
           (Service.Wire.address_to_string addr)
@@ -820,16 +833,6 @@ let serve_cmd =
           ~doc:
             "This process's shard identity in a sharded deployment (e.g. \
              $(b,0/2)); informational, reported in $(b,stats).")
-  in
-  let idle_timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "idle-timeout-s" ] ~docv:"SECONDS"
-          ~doc:
-            "Close a keep-alive connection whose next request does not \
-             arrive within $(docv) seconds, so idle clients stop holding \
-             a handler thread each (default: wait forever).")
   in
   let failpoints_arg =
     Arg.(
@@ -1076,7 +1079,7 @@ let client_cmd =
 
 let route_cmd =
   let run addr shards vnodes warm retries backoff trace shard_timeout_ms
-      unhealthy_after health_cooldown =
+      unhealthy_after health_cooldown idle_timeout =
     let addr = address_of addr in
     if shards = [] then begin
       Printf.eprintf "error: route needs at least one shard address\n";
@@ -1097,6 +1100,7 @@ let route_cmd =
           Option.map (fun ms -> float_of_int ms /. 1000.) shard_timeout_ms;
         unhealthy_after;
         health_cooldown_s = health_cooldown;
+        idle_timeout_s = idle_timeout;
       }
     in
     enable_service_plane ~process:"defcheck route" trace;
@@ -1180,11 +1184,14 @@ let route_cmd =
           $(b,batch) requests over N running $(b,serve --shard) processes \
           by instance digest, aggregates $(b,stats), fans out \
           $(b,compact) and $(b,shutdown).  Responses relay the owning \
-          shard's bytes verbatim.")
+          shard's bytes verbatim.  Client connections are served like a \
+          shard's: sealed requests are checked, refused lines count in \
+          the router's $(b,errors) stat, and $(b,--idle-timeout-s) \
+          closes parked connections.")
     Term.(
       const run $ address_arg $ shards_arg $ vnodes_arg $ warm_arg
       $ retries_arg $ backoff_arg $ trace_arg $ shard_timeout_arg
-      $ unhealthy_after_arg $ health_cooldown_arg)
+      $ unhealthy_after_arg $ health_cooldown_arg $ idle_timeout_arg)
 
 (* Stitch per-process Chrome trace files (each traced relative to its
    own start) onto one shared timeline: every stream opens with a

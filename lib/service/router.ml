@@ -17,6 +17,7 @@ type config = {
   shard_timeout_s : float option;
   unhealthy_after : int;
   health_cooldown_s : float;
+  idle_timeout_s : float option;
 }
 
 let default_config =
@@ -28,6 +29,7 @@ let default_config =
     shard_timeout_s = None;
     unhealthy_after = 3;
     health_cooldown_s = 1.0;
+    idle_timeout_s = None;
   }
 
 (* Per-shard health, under [health_mu].  [fails] counts consecutive
@@ -46,57 +48,38 @@ type t = {
   texts : string Lru.t;  (* request text key -> instance digest *)
   health : (string, health) Hashtbl.t;
   health_mu : Mutex.t;
-  addr : Wire.address;
-  listen_fd : Unix.file_descr;
+  ep : Endpoint.t;
   started_s : float;
-  n_requests : int Atomic.t;
   n_forwarded : int Atomic.t;
   n_forward_errors : int Atomic.t;
   n_unavailable : int Atomic.t;
   n_rebalanced : int Atomic.t;
-  stop : bool Atomic.t;
 }
 
+(* The ring is built before the socket is bound, so a bad shard list
+   leaves no socket file behind. *)
 let create ?(config = default_config) ~shards addr =
   if shards = [] then invalid_arg "Service.Router.create: no shards";
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (* Same lane-identity hook as the server: the router is also
-     thread-per-connection on one domain. *)
-  Obs.set_thread_id_fn (fun () -> Thread.id (Thread.self ()));
-  let listen_fd =
-    match addr with
-    | Wire.Unix_sock path ->
-        if Sys.file_exists path then (try Unix.unlink path with _ -> ());
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        fd
-    | Wire.Tcp _ ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (Wire.sockaddr_of addr);
-        fd
-  in
-  Unix.listen listen_fd 64;
+  let ring = Ring.create ~vnodes:config.vnodes (List.map fst shards) in
+  let chain = Lru.create ~capacity:config.chain_capacity in
+  let texts = Lru.create ~capacity:config.chain_capacity in
   {
     config;
     shards;
-    ring = Ring.create ~vnodes:config.vnodes (List.map fst shards);
-    chain = Lru.create ~capacity:config.chain_capacity;
-    texts = Lru.create ~capacity:config.chain_capacity;
+    ring;
+    chain;
+    texts;
     health = Hashtbl.create 8;
     health_mu = Mutex.create ();
-    addr;
-    listen_fd;
+    ep = Endpoint.listen ?idle_timeout_s:config.idle_timeout_s addr;
     started_s = Unix.gettimeofday ();
-    n_requests = Atomic.make 0;
     n_forwarded = Atomic.make 0;
     n_forward_errors = Atomic.make 0;
     n_unavailable = Atomic.make 0;
     n_rebalanced = Atomic.make 0;
-    stop = Atomic.make false;
   }
 
-let address t = t.addr
+let address t = Endpoint.address t.ep
 let shard_names t = List.map fst t.shards
 let shard_addr t name = List.assoc name t.shards
 
@@ -199,25 +182,33 @@ let drop_conn (conns : conns) name =
   | None -> ()
 
 (* Forward one pre-rendered line to a shard, returning the raw response
-   line.  One reconnect-and-retry on a transport error: the shard may
-   have restarted since this connection was opened.  The reply must
-   carry an intact integrity seal — every shard seals its responses, so
-   anything else means the bytes were damaged in flight and relaying
-   them would hand the client a corrupted verdict.  [Client.request_raw]
-   has already refused a seal that fails its CRC, so what is left to
-   require here is that the seal is present ({!Wire.sealed}).  A shard marked unhealthy fails fast until its
-   cooldown lapses. *)
-let forward t conns name line =
+   line.  With [on_progress] the forward streams: progress frames from
+   the shard relay to the client as they arrive, and the first
+   non-frame line is the response.  A plain forward gets one
+   reconnect-and-retry on a transport error: the shard may have
+   restarted since this connection was opened.  A streaming one does
+   not — frames may already have reached the client, so a mid-stream
+   transport failure surfaces as an error instead of a silent replay.
+   The reply must carry an intact integrity seal — every shard seals
+   its responses, so anything else means the bytes were damaged in
+   flight and relaying them would hand the client a corrupted verdict.
+   [Client] has already refused a seal that fails its CRC, so what is
+   left to require here is that the seal is present ({!Wire.sealed}).
+   A shard marked unhealthy fails fast until its cooldown lapses. *)
+let forward ?on_progress t conns name line =
   if shard_down t name then begin
     incr t.n_unavailable;
     Error (unavailable name "marked unhealthy, cooling down")
   end
-  else begin
+  else
     let once () =
-      match Client.request_raw (get_conn t conns name) line with
-      | Ok reply when Wire.sealed reply ->
-          incr t.n_forwarded;
-          Ok reply
+      match
+        let c = get_conn t conns name in
+        match on_progress with
+        | None -> Client.request_raw c line
+        | Some on_progress -> Client.request_stream c ~on_progress line
+      with
+      | Ok reply when Wire.sealed reply -> Ok reply
       | Ok _ ->
           drop_conn conns name;
           Error "reply failed integrity check"
@@ -228,71 +219,30 @@ let forward t conns name line =
           drop_conn conns name;
           Error (Unix.error_message e)
     in
-    match once () with
+    match
+      match once () with
+      | Error _ when Option.is_none on_progress -> once ()
+      | first -> first
+    with
     | Ok _ as ok ->
         note_forward_ok t name;
-        ok
-    | Error _ -> (
-        match once () with
-        | Ok _ as ok ->
-            note_forward_ok t name;
-            ok
-        | Error msg ->
-            note_forward_fail t name;
-            incr t.n_forward_errors;
-            Error (unavailable name msg))
-  end
-
-(* Streaming forward: progress frames from the shard relay to the
-   client as they arrive; the first non-frame line is the response.
-   No reconnect-retry — frames may already have reached the client, so
-   a mid-stream transport failure surfaces as an error instead of a
-   silent replay. *)
-let forward_stream t conns name ~on_progress line =
-  if shard_down t name then begin
-    incr t.n_unavailable;
-    Error (unavailable name "marked unhealthy, cooling down")
-  end
-  else
-    match Client.request_stream (get_conn t conns name) ~on_progress line with
-    | Ok reply when Wire.sealed reply ->
-        note_forward_ok t name;
         incr t.n_forwarded;
-        Ok reply
-    | Ok _ ->
-        drop_conn conns name;
-        note_forward_fail t name;
-        incr t.n_forward_errors;
-        Error (unavailable name "reply failed integrity check")
+        ok
     | Error msg ->
-        drop_conn conns name;
         note_forward_fail t name;
         incr t.n_forward_errors;
         Error (unavailable name msg)
-    | exception Unix.Unix_error (e, _, _) ->
-        drop_conn conns name;
-        note_forward_fail t name;
-        incr t.n_forward_errors;
-        Error (unavailable name (Unix.error_message e))
 
 (* Responses the router composes itself are sealed like a shard's;
    relayed shard lines keep the shard's own seal (relay is verbatim). *)
-let respond oc fields =
-  output_string oc (Wire.seal fields);
-  output_char oc '\n';
-  flush oc
+let respond = Endpoint.respond
+let ok = Endpoint.ok
+let error_fields = Endpoint.error_fields
 
 let relay oc line =
   output_string oc line;
   output_char oc '\n';
   flush oc
-
-let error_fields ?(status = "error") op msg =
-  [
-    ("op", Wire.json_string op);
-    ("status", Wire.json_string status);
-    ("error", Wire.json_string msg);
-  ]
 
 (* A forward-level failure answers with status ["unavailable"] — the
    typed signal that the request was fine but its shard was not, so the
@@ -300,9 +250,6 @@ let error_fields ?(status = "error") op msg =
 let respond_error oc op msg =
   let status = if is_unavailable msg then "unavailable" else "error" in
   respond oc (error_fields ~status op msg)
-
-let ok op rest =
-  ("op", Wire.json_string op) :: ("status", Wire.json_string "ok") :: rest
 
 (* ------------------------------------------------------------------ *)
 
@@ -316,13 +263,14 @@ let stats t =
       ("chain_hits", Lru.hits t.chain);
       ("chain_misses", Lru.misses t.chain);
       ("chain_evictions", Lru.evictions t.chain);
+      ("errors", Endpoint.errors t.ep);
       ("text_entries", Lru.length t.texts);
       ("text_hits", Lru.hits t.texts);
       ("text_misses", Lru.misses t.texts);
       ("forward_errors", Atomic.get t.n_forward_errors);
       ("forwarded", Atomic.get t.n_forwarded);
       ("rebalanced", Atomic.get t.n_rebalanced);
-      ("requests", Atomic.get t.n_requests);
+      ("requests", Endpoint.requests t.ep);
       ("shards", List.length t.shards);
       ("shards_unhealthy", unhealthy);
       ("unavailable_fast_fails", Atomic.get t.n_unavailable);
@@ -348,8 +296,7 @@ let note_chained t name line =
    re-rendered.  A [stream] request switches to the streaming forward so
    the shard's progress frames relay through in arrival order. *)
 let forward_work t conns name oc ~(env : Wire.envelope) line =
-  if env.Wire.stream then
-    forward_stream t conns name ~on_progress:(relay oc) line
+  if env.Wire.stream then forward t conns name ~on_progress:(relay oc) line
   else forward t conns name line
 
 let handle_decide t conns oc line ~env ~lang ~k ~instance =
@@ -601,36 +548,18 @@ let handle_compact t conns oc line =
   in
   respond oc (ok "compact" [ ("shards", Wire.json_obj per_shard) ])
 
-let initiate_stop t =
-  if not (Atomic.exchange t.stop true) then
-    try
-      let fd =
-        Unix.socket
-          (match t.addr with
-          | Wire.Unix_sock _ -> Unix.PF_UNIX
-          | Wire.Tcp _ -> Unix.PF_INET)
-          Unix.SOCK_STREAM 0
-      in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with _ -> ())
-        (fun () ->
-          let addr =
-            match t.addr with
-            | Wire.Tcp (_, port) ->
-                Unix.ADDR_INET (Unix.inet_addr_loopback, port)
-            | a -> Wire.sockaddr_of a
-          in
-          Unix.connect fd addr)
-    with _ -> ()
-
-let shutdown t = initiate_stop t
+let shutdown t = Endpoint.stop t.ep
 
 let handle_shutdown t conns oc line =
   (* Every shard drains before the router answers: when the response
      arrives, no in-flight work exists anywhere in the topology. *)
   let _ = fan_out t conns line in
   respond oc (ok "shutdown" [ ("drained", "true") ]);
-  initiate_stop t
+  Endpoint.stop t.ep
+
+let shard_direct oc op =
+  respond oc
+    (error_fields op "shard-direct op (connect to a shard, not the router)")
 
 let dispatch_request t conns oc line ~env req =
   match req with
@@ -648,77 +577,20 @@ let dispatch_request t conns oc line ~env req =
   | Wire.Delta { digest; _ } -> handle_delta t conns oc line ~env ~digest
   | Wire.Compact -> handle_compact t conns oc line
   | Wire.Metrics -> handle_metrics t conns oc line
-  | Wire.Export _ | Wire.Import _ ->
-      respond oc
-        (error_fields "export"
-           "shard-direct op (connect to a shard, not the router)")
+  | Wire.Export _ -> shard_direct oc "export"
+  | Wire.Import _ -> shard_direct oc "import"
 
-let handle_request t conns oc line =
-  incr t.n_requests;
-  (* Same request-seal policy as the shard server: a sealed line whose
-     seal fails verification must not execute (it was corrupted in
-     transit); unsealed requests are accepted as-is. *)
-  if Wire.crc_status line = `Sealed_bad then
-    respond oc (error_fields "unknown" "request failed integrity check")
-  else
-  match Json.parse line with
-  | Error msg -> respond oc (error_fields "unknown" msg)
-  | Ok j -> (
-      match Wire.request_of_json j with
-      | Error msg -> respond oc (error_fields "unknown" msg)
-      | Ok req ->
-          (* The routing span is tagged with the client's trace id; the
-             forwarded line carries the same id verbatim, so the shard's
-             spans join the same distributed trace. *)
-          let env = Wire.envelope_of_json j in
-          let work () =
-            Obs.Span.with_ "service.route" (fun () ->
-                dispatch_request t conns oc line ~env req)
-          in
-          match env.Wire.trace_id with
-          | None -> work ()
-          | Some _ as id -> Obs.Ctx.with_trace id work)
-
-let handle_conn t fd =
-  let conns : conns = Hashtbl.create 8 in
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _ | Sys_blocked_io) -> ()
-    | line when String.trim line = "" -> loop ()
-    | line ->
-        (match handle_request t conns oc line with
-        | () -> ()
-        | exception (Sys_error _ | Sys_blocked_io | Unix.Unix_error _) ->
-            raise Exit
-        | exception e ->
-            respond oc
-              (error_fields "unknown" ("internal: " ^ Printexc.to_string e)));
-        loop ()
-  in
-  (try loop () with Exit | Sys_error _ | Sys_blocked_io | Unix.Unix_error _ -> ());
-  Hashtbl.iter (fun _ c -> Client.close c) conns;
-  try close_out oc with _ -> ()
-
+(* The routing span is tagged with the client's trace id, and only
+   that: the router relays the client's line verbatim, so an id minted
+   here could never reach the shard, which mints its own when it needs
+   one. *)
 let run t =
-  let rec loop () =
-    if not (Atomic.get t.stop) then
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-          if Atomic.get t.stop then (try Unix.close fd with _ -> ())
-          else ignore (Thread.create (handle_conn t) fd);
-          loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> loop ()
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-          if Atomic.get t.stop then () else loop ()
-  in
-  loop ();
-  (try Unix.close t.listen_fd with _ -> ());
-  match t.addr with
-  | Wire.Unix_sock path -> ( try Unix.unlink path with _ -> ())
-  | Wire.Tcp _ -> ()
+  Endpoint.run t.ep ~span:"service.route"
+    ~trace_id:(fun env -> env.Wire.trace_id)
+    ~open_conn:(fun () : conns -> Hashtbl.create 8)
+    ~close_conn:(Hashtbl.iter (fun _ c -> Client.close c))
+    ~dispatch:(fun conns oc line env req ->
+      dispatch_request t conns oc line ~env req)
 
 (* ------------------------------------------------------------------ *)
 (* Warm transfer. *)

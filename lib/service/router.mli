@@ -35,7 +35,7 @@
     - [compact] — fan out to every shard.
     - [ping] — answered locally.  [sleep] — forwarded to the first
       shard.  [export]/[import] are shard-direct ops and answer with an
-      error here.
+      error here, under the op the request named.
     - [shutdown] — forwarded to every shard (each drains), then the
       router answers and stops.
 
@@ -71,7 +71,15 @@
 
     A [shard_timeout_s] deadline (kernel socket timeouts on the shard
     connections) bounds how long a hung shard can stall a routed
-    request; expiry surfaces as the same typed unavailability. *)
+    request; expiry surfaces as the same typed unavailability.
+
+    {b Front end.}  Listening, the connection loop and request decoding
+    are the {!Endpoint}'s, shared with the shard server; the router
+    passes it the per-connection shard clients, its dispatch and its
+    trace policy.  Each request runs under a root ["service.route"]
+    span tagged with the client's [trace_id] when it sent one.  Unlike
+    a shard, the router never mints an id: it relays the client's line
+    verbatim, so an id minted here could never reach the shard. *)
 
 type config = {
   vnodes : int;  (** ring points per shard (default 64) *)
@@ -89,6 +97,10 @@ type config = {
   health_cooldown_s : float;
       (** how long a down mark lasts before the next request probes the
           shard again (default 1.0 s) *)
+  idle_timeout_s : float option;
+      (** close a client connection whose {e next} request does not
+          arrive within this many seconds, as {!Server.config}'s
+          [idle_timeout_s] does; [None] (default): wait forever *)
 }
 
 val default_config : config
@@ -97,7 +109,8 @@ type t
 
 val create :
   ?config:config -> shards:(string * Wire.address) list -> Wire.address -> t
-(** Bind the router's own listen address.  [shards] are
+(** Build the ring, then bind the router's own listen address, so a
+    failed [create] leaves no socket file behind.  [shards] are
     [(name, address)] pairs; names feed the ring, so keep them stable
     across restarts.
     @raise Invalid_argument on an empty or duplicate-bearing shard
@@ -128,7 +141,10 @@ val shutdown : t -> unit
 
 val stats : t -> (string * int) list
 (** The router's own counters: [forwarded], [forward_errors],
-    [requests], [chain_entries], [chain_hits], [chain_misses],
+    [requests], [errors] (request lines the front end refused —
+    failed integrity check, unparsable JSON, unknown op or bad fields —
+    and ["internal: ..."] failures, counted as a shard counts them),
+    [chain_entries], [chain_hits], [chain_misses],
     [chain_evictions], [text_entries], [text_hits], [text_misses],
     [rebalanced], [shards], [shards_unhealthy],
     [unavailable_fast_fails], [uptime_seconds], [started_at]. *)

@@ -113,11 +113,9 @@ let default_config =
 type t = {
   config : config;
   cache_ : Cache.t;
-  addr : Wire.address;
-  listen_fd : Unix.file_descr;
+  ep : Endpoint.t;
   gate : Admission.gate;
   started_s : float;
-  n_requests : int Atomic.t;
   n_decides : int Atomic.t;
   n_batches : int Atomic.t;
   n_deltas : int Atomic.t;
@@ -125,11 +123,9 @@ type t = {
   n_stats : int Atomic.t;
   n_sleeps : int Atomic.t;
   n_overloaded : int Atomic.t;
-  n_errors : int Atomic.t;
   n_metrics : int Atomic.t;
   req_ids : int Atomic.t;
   req_id_prefix : string;
-  stop : bool Atomic.t;
 }
 
 (* Per-op request latency (admission wait included): the server-side
@@ -141,49 +137,38 @@ let h_delta = Obs.Histogram.make "op.delta"
 
 let incr a = ignore (Atomic.fetch_and_add a 1)
 
-let sockaddr_of = Wire.sockaddr_of
-
+(* The store is opened before the socket is bound, so a bad store
+   leaves no socket file behind. *)
 let create ?(config = default_config) addr =
-  (* A client that disconnects mid-response must not kill the server
-     with SIGPIPE; writes to its socket fail with EPIPE instead, which
-     the handler treats as end-of-connection. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  (* Spans must tell concurrent handler threads apart — the server is
-     thread-per-connection on one domain, so the domain id alone is not
-     an execution lane.  [Obs] takes the hook rather than a [threads]
-     dependency. *)
-  Obs.set_thread_id_fn (fun () -> Thread.id (Thread.self ()));
-  let listen_fd =
-    match addr with
-    | Wire.Unix_sock path ->
-        if Sys.file_exists path then (try Unix.unlink path with _ -> ());
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.bind fd (Unix.ADDR_UNIX path);
-        fd
-    | Wire.Tcp _ ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (sockaddr_of addr);
-        fd
-  in
-  Unix.listen listen_fd 64;
   let durable =
     Option.map
       (fun dir ->
-        Tier.open_ ~fsync:config.fsync
-          ~auto_compact_bytes:config.auto_compact_bytes dir)
+        try
+          Tier.open_ ~fsync:config.fsync
+            ~auto_compact_bytes:config.auto_compact_bytes dir
+        with Unix.Unix_error (e, fn, arg) ->
+          failwith
+            (Printf.sprintf "cannot open store %s: %s (%s %s)" dir
+               (Unix.error_message e) fn arg))
       config.store_dir
+  in
+  let cache_ = Cache.create ~config:config.cache ?durable () in
+  let gate =
+    Admission.make ~max_inflight:config.max_inflight
+      ~queue_depth:config.queue_depth
+  in
+  let ep =
+    try Endpoint.listen ?idle_timeout_s:config.idle_timeout_s addr
+    with e ->
+      (try Cache.close cache_ with _ -> ());
+      raise e
   in
   {
     config;
-    cache_ = Cache.create ~config:config.cache ?durable ();
-    addr;
-    listen_fd;
-    gate =
-      Admission.make ~max_inflight:config.max_inflight
-        ~queue_depth:config.queue_depth;
+    cache_;
+    ep;
+    gate;
     started_s = Unix.gettimeofday ();
-    n_requests = Atomic.make 0;
     n_decides = Atomic.make 0;
     n_batches = Atomic.make 0;
     n_deltas = Atomic.make 0;
@@ -191,16 +176,14 @@ let create ?(config = default_config) addr =
     n_stats = Atomic.make 0;
     n_sleeps = Atomic.make 0;
     n_overloaded = Atomic.make 0;
-    n_errors = Atomic.make 0;
     n_metrics = Atomic.make 0;
     req_ids = Atomic.make 0;
     req_id_prefix = Printf.sprintf "req-%d-" (Unix.getpid ());
-    stop = Atomic.make false;
   }
 
 let cache t = t.cache_
 let config t = t.config
-let address t = t.addr
+let address t = Endpoint.address t.ep
 
 (* The one observation snapshot both [stats] and [metrics] render: the
    [Obs] registry (histograms and process-wide counters) plus this
@@ -212,18 +195,18 @@ let observe t =
   let obs = Metrics.capture () in
   let own =
     List.map
-      (fun (k, a) -> ("service." ^ k, Atomic.get a))
+      (fun (k, n) -> ("service." ^ k, n))
       [
-        ("requests", t.n_requests);
-        ("decides", t.n_decides);
-        ("batches", t.n_batches);
-        ("deltas", t.n_deltas);
-        ("pings", t.n_pings);
-        ("stats_ops", t.n_stats);
-        ("sleeps", t.n_sleeps);
-        ("overloaded", t.n_overloaded);
-        ("errors", t.n_errors);
-        ("metrics_ops", t.n_metrics);
+        ("requests", Endpoint.requests t.ep);
+        ("decides", Atomic.get t.n_decides);
+        ("batches", Atomic.get t.n_batches);
+        ("deltas", Atomic.get t.n_deltas);
+        ("pings", Atomic.get t.n_pings);
+        ("stats_ops", Atomic.get t.n_stats);
+        ("sleeps", Atomic.get t.n_sleeps);
+        ("overloaded", Atomic.get t.n_overloaded);
+        ("errors", Endpoint.errors t.ep);
+        ("metrics_ops", Atomic.get t.n_metrics);
       ]
     @ List.map (fun (k, v) -> ("service.cache." ^ k, v)) (Cache.counters t.cache_)
     @
@@ -268,23 +251,12 @@ let stats t =
     @ List.map (fun (k, v) -> (stat_key k, int_of_float v)) gauges)
 
 (* ------------------------------------------------------------------ *)
-(* Responses.  Field values are pre-rendered JSON (Wire combinators).
-   Every response line is sealed (Wire.seal) so corruption between here
-   and the requester is detectable; progress frames are not. *)
+(* Responses.  Field values are pre-rendered JSON (Wire combinators),
+   sealed by the endpoint. *)
 
-let respond oc fields =
-  output_string oc (Wire.seal fields);
-  output_char oc '\n';
-  flush oc
-
-let ok op rest = ("op", Wire.json_string op) :: ("status", Wire.json_string "ok") :: rest
-
-let error_fields op msg =
-  [
-    ("op", Wire.json_string op);
-    ("status", Wire.json_string "error");
-    ("error", Wire.json_string msg);
-  ]
+let respond = Endpoint.respond
+let ok = Endpoint.ok
+let error_fields = Endpoint.error_fields
 
 let overloaded_fields t op why =
   incr t.n_overloaded;
@@ -535,7 +507,7 @@ let handle_decide t oc ~env ~lang ~k ~fuel ~timeout_s text =
               in
               match result with
               | Error msg ->
-                  incr t.n_errors;
+                  Endpoint.count_error t.ep;
                   respond oc (error_fields "decide" msg)
               | Ok (fields, digest) ->
                   let wall_s = Unix.gettimeofday () -. t0 in
@@ -573,7 +545,7 @@ let handle_batch t oc ~env ~lang ~k ~fuel ~timeout_s texts =
                        match decide_one t ~lang ~k ~fuel ~timeout_s text with
                        | Ok (fields, _digest) -> Wire.json_obj fields
                        | Error msg ->
-                           incr t.n_errors;
+                           Endpoint.count_error t.ep;
                            Wire.json_obj [ ("error", Wire.json_string msg) ])
                      texts)
               in
@@ -619,7 +591,7 @@ let handle_delta t oc ~env ~lang ~k ~fuel ~timeout_s ~digest edit =
           in
           match (pool_exec [| body |]).(0) with
           | Error msg ->
-              incr t.n_errors;
+              Endpoint.count_error t.ep;
               respond oc (error_fields "delta" msg)
           | Ok { Cache.outcome; inst; key; repaired } ->
               let wall_s = Unix.gettimeofday () -. t0 in
@@ -660,7 +632,7 @@ let handle_sleep t oc ~ms =
 let handle_compact t oc =
   match Cache.durable t.cache_ with
   | None ->
-      incr t.n_errors;
+      Endpoint.count_error t.ep;
       respond oc (error_fields "compact" "no durable store configured")
   | Some d ->
       Tier.compact d;
@@ -710,36 +682,9 @@ let handle_import t oc entries =
          ("rejected", string_of_int !rejected);
        ])
 
-(* Wake the acceptor with a throwaway self-connection: closing a
-   listening socket does not reliably interrupt an [accept] blocked in
-   another thread, so the stop flag is set first and the acceptor
-   observes it on the next (self-induced) wakeup. *)
-let initiate_stop t =
-  if not (Atomic.exchange t.stop true) then
-    try
-      let fd =
-        Unix.socket
-          (match t.addr with
-          | Wire.Unix_sock _ -> Unix.PF_UNIX
-          | Wire.Tcp _ -> Unix.PF_INET)
-          Unix.SOCK_STREAM 0
-      in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with _ -> ())
-        (fun () ->
-          let addr =
-            match t.addr with
-            | Wire.Tcp (_, port) ->
-                (* Connect to loopback even when bound to a wildcard. *)
-                Unix.ADDR_INET (Unix.inet_addr_loopback, port)
-            | a -> sockaddr_of a
-          in
-          Unix.connect fd addr)
-    with _ -> ()
-
 let shutdown t =
   Admission.drain t.gate;
-  initiate_stop t
+  Endpoint.stop t.ep
 
 let handle_metrics t oc =
   incr t.n_metrics;
@@ -772,7 +717,7 @@ let dispatch_request t oc ~env req =
          answered — then answer the requester, then stop the acceptor. *)
       Admission.drain t.gate;
       respond oc (ok "shutdown" [ ("drained", "true") ]);
-      initiate_stop t
+      Endpoint.stop t.ep
   | Wire.Sleep { ms } -> handle_sleep t oc ~ms
   | Wire.Decide { lang; k; fuel; timeout_s; instance } ->
       handle_decide t oc ~env ~lang ~k ~fuel ~timeout_s instance
@@ -785,99 +730,21 @@ let dispatch_request t oc ~env req =
   | Wire.Import { entries } -> handle_import t oc entries
   | Wire.Metrics -> handle_metrics t oc
 
-let handle_request t oc line =
-  incr t.n_requests;
-  (* Sealed requests (load generator, chaos harness) are verified before
-     parsing: a corrupted sealed line must fail typed rather than
-     execute as a subtly different request.  Unsealed requests pass. *)
-  if Wire.crc_status line = `Sealed_bad then begin
-    incr t.n_errors;
-    respond oc (error_fields "unknown" "request failed integrity check")
-  end
-  else
-  match Json.parse line with
-  | Error msg ->
-      incr t.n_errors;
-      respond oc (error_fields "unknown" msg)
-  | Ok j -> (
-      match Wire.request_of_json j with
-      | Error msg ->
-          incr t.n_errors;
-          respond oc (error_fields "unknown" msg)
-      | Ok req ->
-          let env = Wire.envelope_of_json j in
-          (* The root span is tagged with the request's trace id; when
-             the plane is live but the client sent none, the server
-             mints one so the slow log and trace events still correlate
-             within this process. *)
-          let trace_id =
-            match env.Wire.trace_id with
-            | Some _ as id -> id
-            | None ->
-                if Obs.enabled () || t.config.slow_ms <> None then
-                  Some
-                    (t.req_id_prefix
-                    ^ string_of_int (Atomic.fetch_and_add t.req_ids 1))
-                else None
-          in
-          let work () =
-            Obs.Span.with_ "service.request" (fun () ->
-                dispatch_request t oc ~env req)
-          in
-          if trace_id = None then work ()
-          else Obs.Ctx.with_trace trace_id work)
-
-let handle_conn t fd =
-  (* Idle timeout: a kernel receive timeout, so a connection whose next
-     request never comes surfaces as [Sys_blocked_io] from [input_line]
-     (the buffered channel's rendering of EAGAIN) and the handler
-     thread exits instead of parking forever. *)
-  (match t.config.idle_timeout_s with
-  | Some s when s > 0. -> Unix.setsockopt_float fd Unix.SO_RCVTIMEO s
-  | _ -> ());
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _ | Sys_blocked_io) -> ()
-    | line when String.trim line = "" -> loop ()
-    | line ->
-        (* The root "service.request" span lives inside [handle_request],
-           under the request's trace context. *)
-        (match handle_request t oc line with
-        | () -> ()
-        | exception (Sys_error _ | Sys_blocked_io | Unix.Unix_error _) ->
-            (* Client went away mid-response; drop the connection. *)
-            raise Exit
-        | exception e ->
-            incr t.n_errors;
-            respond oc
-              (error_fields "unknown" ("internal: " ^ Printexc.to_string e)));
-        loop ()
-  in
-  (try loop () with Exit | Sys_error _ | Sys_blocked_io | Unix.Unix_error _ -> ());
-  (* [close_out] flushes and closes the shared fd; everything after is
-     best-effort. *)
-  try close_out oc with _ -> ()
+(* The root span is tagged with the request's trace id; when the plane
+   is live but the client sent none, the server mints one so the slow
+   log and trace events still correlate within this process. *)
+let trace_id t (env : Wire.envelope) =
+  match env.Wire.trace_id with
+  | Some _ as id -> id
+  | None ->
+      if Obs.enabled () || t.config.slow_ms <> None then
+        Some (t.req_id_prefix ^ string_of_int (Atomic.fetch_and_add t.req_ids 1))
+      else None
 
 let run t =
-  let rec loop () =
-    if not (Atomic.get t.stop) then
-      match Unix.accept t.listen_fd with
-      | fd, _ ->
-          if Atomic.get t.stop then (try Unix.close fd with _ -> ())
-          else ignore (Thread.create (handle_conn t) fd);
-          loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> loop ()
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-          if Atomic.get t.stop then () else loop ()
-  in
-  loop ();
-  (try Unix.close t.listen_fd with _ -> ());
+  Endpoint.run t.ep ~span:"service.request" ~trace_id:(trace_id t)
+    ~open_conn:ignore ~close_conn:ignore
+    ~dispatch:(fun () oc _line env req -> dispatch_request t oc ~env req);
   (* Sync and close the durable tier only after the drain: every
      admitted decide has written through by now. *)
-  (try Cache.close t.cache_ with _ -> ());
-  match t.addr with
-  | Wire.Unix_sock path -> ( try Unix.unlink path with _ -> ())
-  | Wire.Tcp _ -> ()
+  try Cache.close t.cache_ with _ -> ()

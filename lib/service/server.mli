@@ -47,9 +47,15 @@
     [import] ops expose compaction and warm transfer to routers and
     operators; like the other control ops they bypass admission.
 
+    {b Front end.}  Listening, the connection loop and request decoding
+    are the {!Endpoint}'s, shared with the router; the server passes it
+    its dispatch and its trace policy.
+
     {b Observability.}  Each request runs under a root
-    ["service.request"] span tagged with the wire envelope's [trace_id]
-    (minted locally when absent and the plane is live); work-op
+    ["service.request"] span tagged with the wire envelope's [trace_id].
+    When the client sent none and the plane is live or a slow-request
+    log is armed, the server mints [req-<pid>-N], so its slow log and
+    trace events still correlate within this process; work-op
     latencies land in the [op.decide]/[op.batch]/[op.delta] histograms.
     [stats] and [metrics] render one snapshot, built in one place: the
     [Obs] registry (histograms and process-wide counters, which always
@@ -121,9 +127,9 @@ type config = {
   idle_timeout_s : float option;
       (** close a keep-alive connection whose {e next} request does not
           arrive within this many seconds — a kernel receive timeout on
-          the accepted socket, so an idle client stops costing this
-          server a parked handler thread.  [None] (default): wait
-          forever, the pre-PR-10 behaviour. *)
+          the accepted socket ({!Endpoint.listen}), so an idle client
+          stops costing this server a parked handler thread.  [None]
+          (default): wait forever. *)
 }
 
 val default_config : config
@@ -131,8 +137,12 @@ val default_config : config
 type t
 
 val create : ?config:config -> Wire.address -> t
-(** Bind and listen (a stale Unix-socket file is unlinked first).
-    @raise Unix.Unix_error when binding fails. *)
+(** Open the durable store, if any, then bind and listen (a stale
+    Unix-socket file is unlinked first).  Binding comes last, so a
+    failed [create] leaves no socket file behind.
+    @raise Failure naming the store when it cannot be opened;
+    [Unix.Unix_error] when binding fails;
+    [Invalid_argument] on a bad [max_inflight]/[queue_depth]. *)
 
 val cache : t -> Cache.t
 val config : t -> config

@@ -56,9 +56,9 @@ let decode raw =
                 Ok { lang = p.p_lang; k = p.p_k; inst; outcome = p.p_outcome }))
 
 let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  String.init (2 * String.length s) (fun i ->
+      let c = Char.code s.[i / 2] in
+      "0123456789abcdef".[if i land 1 = 0 then c lsr 4 else c land 15])
 
 let of_hex s =
   let n = String.length s in

@@ -2312,6 +2312,182 @@ let test_e2e_router_text_memo () =
           Alcotest.(check int) "first sightings parsed" 2 (stat "text_misses");
           Alcotest.(check int) "repeats placed from the memo" 2 (stat "text_hits")))
 
+(* ---------- the shared request front end ---------- *)
+
+(* [Tier.to_hex] against the [Printf] form it replaced. *)
+let printf_hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let to_hex_props =
+  [
+    QCheck.Test.make ~name:"to_hex equals the Printf form and round-trips"
+      ~count:300 ~long_factor:20
+      QCheck.(
+        make ~print:Print.string
+          Gen.(string_size ~gen:char (0 -- 1500)))
+      (fun s ->
+        Tier.to_hex s = printf_hex s && Tier.of_hex (Tier.to_hex s) = Ok s);
+  ]
+
+let test_to_hex_every_byte () =
+  let all = String.init 256 Char.chr in
+  Alcotest.(check string) "every byte value" (printf_hex all) (Tier.to_hex all);
+  Alcotest.(check bool) "round-trips" true (Tier.of_hex (Tier.to_hex all) = Ok all)
+
+(* A socket path that does not exist yet. *)
+let fresh_sock prefix =
+  let path = Filename.temp_file prefix ".sock" in
+  Sys.remove path;
+  path
+
+(* Both processes bind last: a [create] that fails on its store or its
+   ring leaves no socket file behind. *)
+let test_bind_last () =
+  let file = Filename.temp_file "defsvc" ".notadir" in
+  let path = fresh_sock "defbind" in
+  let store = Filename.concat file "x" in
+  (match
+     Server.create
+       ~config:{ Server.default_config with Server.store_dir = Some store }
+       (Wire.Unix_sock path)
+   with
+  | exception Failure msg ->
+      Alcotest.(check bool) "the error names the store" true (contains msg store)
+  | exception _ -> ()
+  | _ -> Alcotest.fail "a store under a regular file opened");
+  Alcotest.(check bool) "no shard socket left" false (Sys.file_exists path);
+  (match
+     Service.Router.create
+       ~shards:[ ("a", Wire.Unix_sock "a.sock"); ("a", Wire.Unix_sock "b.sock") ]
+       (Wire.Unix_sock path)
+   with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "duplicate shard names accepted");
+  Alcotest.(check bool) "no router socket left" false (Sys.file_exists path);
+  Sys.remove file
+
+(* A router over one shard that does not exist: enough for every op the
+   router answers itself. *)
+let with_lone_router ?(config = Service.Router.default_config) f =
+  let rpath = fresh_sock "defroute" in
+  let router =
+    Service.Router.create ~config
+      ~shards:[ ("ghost", Wire.Unix_sock (fresh_sock "defghost")) ]
+      (Wire.Unix_sock rpath)
+  in
+  let rth = Thread.create Service.Router.run router in
+  Fun.protect
+    ~finally:(fun () ->
+      Service.Router.shutdown router;
+      Thread.join rth)
+    (fun () -> f router (Wire.Unix_sock rpath))
+
+(* The lines the front end refuses before any dispatch, each with the
+   error text it must carry when that text is fixed. *)
+let refused_lines =
+  let sealed = Wire.seal_line (Wire.request_to_string Wire.Ping) in
+  let flipped =
+    String.mapi (fun i c -> if i = 3 then Char.chr (Char.code c lxor 1) else c) sealed
+  in
+  [
+    ("flipped seal", flipped, Some "request failed integrity check");
+    ("unparsable json", "{\"op\":}", None);
+    ("unknown op", "{\"op\":\"frobnicate\"}", None);
+  ]
+
+(* One case list for both front ends: each refused line gets a sealed,
+   typed error and the connection survives it; blank lines are skipped;
+   and the process's [errors] stat rises by exactly the refused count. *)
+let check_front_end ~errors addr =
+  let before = errors () in
+  Client.with_connection addr (fun conn ->
+      let ping what =
+        match Client.request_raw conn (Wire.request_to_string Wire.Ping) with
+        | Ok line ->
+            Alcotest.(check bool) (what ^ ": connection survives") true
+              (contains line "\"status\":\"ok\"")
+        | Error msg -> Alcotest.failf "%s: %s" what msg
+      in
+      List.iter
+        (fun (what, line, msg) ->
+          (match Client.request_raw conn line with
+          | Error e -> Alcotest.failf "%s: %s" what e
+          | Ok reply -> (
+              match Json.parse reply with
+              | Error e -> Alcotest.failf "%s: unparsable reply %s" what e
+              | Ok j ->
+                  Alcotest.(check (option string)) (what ^ ": error") (Some "error")
+                    (member_str "status" j);
+                  Alcotest.(check (option string)) (what ^ ": op") (Some "unknown")
+                    (member_str "op" j);
+                  Option.iter
+                    (fun m ->
+                      Alcotest.(check (option string)) (what ^ ": text") (Some m)
+                        (member_str "error" j))
+                    msg));
+          ping what)
+        refused_lines;
+      ping "blank lines";
+      match
+        Client.request_raw conn ("\n   \n" ^ Wire.request_to_string Wire.Ping)
+      with
+      | Ok line ->
+          Alcotest.(check bool) "blank lines skipped" true
+            (contains line "\"op\":\"ping\"")
+      | Error msg -> Alcotest.failf "blank lines: %s" msg);
+  Alcotest.(check int) "errors counts each refused line"
+    (List.length refused_lines) (errors () - before)
+
+let test_front_end_shard () =
+  with_server (fun addr srv ->
+      check_front_end addr ~errors:(fun () ->
+          List.assoc "errors" (Server.stats srv)))
+
+let test_front_end_router () =
+  with_lone_router (fun router addr ->
+      check_front_end addr ~errors:(fun () ->
+          Option.value ~default:0
+            (List.assoc_opt "errors" (Service.Router.stats router))))
+
+let test_router_idle_timeout () =
+  let config =
+    { Service.Router.default_config with Service.Router.idle_timeout_s = Some 0.2 }
+  in
+  with_lone_router ~config (fun _router addr ->
+      let conn = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          (match Client.request conn Wire.Ping with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "live connection refused: %s" e);
+          Thread.delay 0.6;
+          match Client.request conn Wire.Ping with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.fail "request succeeded on a reaped connection");
+      Client.with_connection addr (fun conn ->
+          Alcotest.(check (option string)) "a fresh connection is served"
+            (Some "ok")
+            (member_str "status" (request_ok conn Wire.Ping))))
+
+let test_router_shard_direct_ops () =
+  with_lone_router (fun _router addr ->
+      Client.with_connection addr (fun conn ->
+          List.iter
+            (fun (op, req) ->
+              let j = request_ok conn req in
+              Alcotest.(check (option string)) (op ^ " refused") (Some "error")
+                (member_str "status" j);
+              Alcotest.(check (option string)) (op ^ " names its op") (Some op)
+                (member_str "op" j))
+            [
+              ("export", Wire.Export { limit = None });
+              ("import", Wire.Import { entries = [] });
+            ]))
+
 let () =
   Alcotest.run "service"
     [
@@ -2382,7 +2558,9 @@ let () =
            test_tier_bogus_record_dropped_on_first_hit);
           ("stale version header dropped on find", `Quick,
            test_tier_stale_magic_dropped);
-        ] );
+          ("to_hex every byte value", `Quick, test_to_hex_every_byte);
+        ]
+        @ List.map QCheck_alcotest.to_alcotest to_hex_props );
       ("ring", [ ("deterministic placement", `Quick, test_ring_deterministic) ]);
       ( "client",
         [
@@ -2414,6 +2592,15 @@ let () =
           ("router metrics aggregation", `Quick,
            test_e2e_router_metrics_aggregation);
           ("stats and metrics agree", `Quick, test_e2e_stats_metrics_agree);
+        ] );
+      ( "front end",
+        [
+          ("a failed create binds nothing", `Quick, test_bind_last);
+          ("shard: bad lines refused", `Quick, test_front_end_shard);
+          ("router: bad lines refused", `Quick, test_front_end_router);
+          ("router idle timeout", `Quick, test_router_idle_timeout);
+          ("router: shard-direct op named", `Quick,
+           test_router_shard_direct_ops);
         ] );
       ( "hit path",
         [
