@@ -687,16 +687,6 @@ let slow_ms_arg =
            least $(docv) milliseconds emits one JSON line on stderr with \
            its trace id, op, digest and phase breakdown.")
 
-let idle_timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "idle-timeout-s" ] ~docv:"SECONDS"
-        ~doc:
-          "Close a keep-alive connection whose next request does not \
-           arrive within $(docv) seconds, so idle clients stop holding \
-           a handler thread each (default: wait forever).")
-
 let serve_cmd =
   let run addr domains fuel timeout max_inflight queue_depth cache_size store
       fsync auto_compact shard trace slow_ms idle_timeout failpoints
@@ -833,6 +823,16 @@ let serve_cmd =
           ~doc:
             "This process's shard identity in a sharded deployment (e.g. \
              $(b,0/2)); informational, reported in $(b,stats).")
+  in
+  let idle_timeout_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "idle-timeout-s" ] ~docv:"SECONDS"
+          ~doc:
+            "Close a keep-alive connection whose next request does not \
+             arrive within $(docv) seconds, so idle clients stop holding \
+             a handler thread each (default: wait forever).")
   in
   let failpoints_arg =
     Arg.(
@@ -1079,7 +1079,7 @@ let client_cmd =
 
 let route_cmd =
   let run addr shards vnodes warm retries backoff trace shard_timeout_ms
-      unhealthy_after health_cooldown idle_timeout =
+      unhealthy_after health_cooldown =
     let addr = address_of addr in
     if shards = [] then begin
       Printf.eprintf "error: route needs at least one shard address\n";
@@ -1100,7 +1100,6 @@ let route_cmd =
           Option.map (fun ms -> float_of_int ms /. 1000.) shard_timeout_ms;
         unhealthy_after;
         health_cooldown_s = health_cooldown;
-        idle_timeout_s = idle_timeout;
       }
     in
     enable_service_plane ~process:"defcheck route" trace;
@@ -1185,13 +1184,12 @@ let route_cmd =
           by instance digest, aggregates $(b,stats), fans out \
           $(b,compact) and $(b,shutdown).  Responses relay the owning \
           shard's bytes verbatim.  Client connections are served like a \
-          shard's: sealed requests are checked, refused lines count in \
-          the router's $(b,errors) stat, and $(b,--idle-timeout-s) \
-          closes parked connections.")
+          shard's: sealed requests are checked and refused lines count \
+          in the router's $(b,errors) stat.")
     Term.(
       const run $ address_arg $ shards_arg $ vnodes_arg $ warm_arg
       $ retries_arg $ backoff_arg $ trace_arg $ shard_timeout_arg
-      $ unhealthy_after_arg $ health_cooldown_arg $ idle_timeout_arg)
+      $ unhealthy_after_arg $ health_cooldown_arg)
 
 (* Stitch per-process Chrome trace files (each traced relative to its
    own start) onto one shared timeline: every stream opens with a

@@ -17,7 +17,6 @@ type config = {
   shard_timeout_s : float option;
   unhealthy_after : int;
   health_cooldown_s : float;
-  idle_timeout_s : float option;
 }
 
 let default_config =
@@ -29,7 +28,6 @@ let default_config =
     shard_timeout_s = None;
     unhealthy_after = 3;
     health_cooldown_s = 1.0;
-    idle_timeout_s = None;
   }
 
 (* Per-shard health, under [health_mu].  [fails] counts consecutive
@@ -71,7 +69,7 @@ let create ?(config = default_config) ~shards addr =
     texts;
     health = Hashtbl.create 8;
     health_mu = Mutex.create ();
-    ep = Endpoint.listen ?idle_timeout_s:config.idle_timeout_s addr;
+    ep = Endpoint.listen addr;
     started_s = Unix.gettimeofday ();
     n_forwarded = Atomic.make 0;
     n_forward_errors = Atomic.make 0;
@@ -181,49 +179,35 @@ let drop_conn (conns : conns) name =
       Hashtbl.remove conns name
   | None -> ()
 
-(* Forward one pre-rendered line to a shard, returning the raw response
-   line.  With [on_progress] the forward streams: progress frames from
-   the shard relay to the client as they arrive, and the first
-   non-frame line is the response.  A plain forward gets one
-   reconnect-and-retry on a transport error: the shard may have
-   restarted since this connection was opened.  A streaming one does
-   not — frames may already have reached the client, so a mid-stream
-   transport failure surfaces as an error instead of a silent replay.
-   The reply must carry an intact integrity seal — every shard seals
-   its responses, so anything else means the bytes were damaged in
-   flight and relaying them would hand the client a corrupted verdict.
-   [Client] has already refused a seal that fails its CRC, so what is
-   left to require here is that the seal is present ({!Wire.sealed}).
-   A shard marked unhealthy fails fast until its cooldown lapses. *)
-let forward ?on_progress t conns name line =
+(* One exchange with shard [name] through [send].  The reply must
+   carry an intact integrity seal — every shard seals its responses, so
+   anything else means the bytes were damaged in flight and relaying
+   them would hand the client a corrupted verdict.  [Client] has
+   already refused a seal that fails its CRC, so what is left to
+   require here is that the seal is present ({!Wire.sealed}). *)
+let exchange t conns name send =
+  match send (get_conn t conns name) with
+  | Ok reply when Wire.sealed reply -> Ok reply
+  | Ok _ ->
+      drop_conn conns name;
+      Error "reply failed integrity check"
+  | Error msg ->
+      drop_conn conns name;
+      Error msg
+  | exception Unix.Unix_error (e, _, _) ->
+      drop_conn conns name;
+      Error (Unix.error_message e)
+
+(* Count a forward's outcome against the shard's health and the
+   router's counters.  A shard marked unhealthy fails fast until its
+   cooldown lapses, without trying the exchange. *)
+let counted t name exchange =
   if shard_down t name then begin
     incr t.n_unavailable;
     Error (unavailable name "marked unhealthy, cooling down")
   end
   else
-    let once () =
-      match
-        let c = get_conn t conns name in
-        match on_progress with
-        | None -> Client.request_raw c line
-        | Some on_progress -> Client.request_stream c ~on_progress line
-      with
-      | Ok reply when Wire.sealed reply -> Ok reply
-      | Ok _ ->
-          drop_conn conns name;
-          Error "reply failed integrity check"
-      | Error msg ->
-          drop_conn conns name;
-          Error msg
-      | exception Unix.Unix_error (e, _, _) ->
-          drop_conn conns name;
-          Error (Unix.error_message e)
-    in
-    match
-      match once () with
-      | Error _ when Option.is_none on_progress -> once ()
-      | first -> first
-    with
+    match exchange () with
     | Ok _ as ok ->
         note_forward_ok t name;
         incr t.n_forwarded;
@@ -232,6 +216,26 @@ let forward ?on_progress t conns name line =
         note_forward_fail t name;
         incr t.n_forward_errors;
         Error (unavailable name msg)
+
+(* Forward one pre-rendered line to a shard, returning the raw response
+   line.  One reconnect-and-retry on a transport error: the shard may
+   have restarted since this connection was opened. *)
+let forward t conns name line =
+  counted t name (fun () ->
+      let once () =
+        exchange t conns name (fun c -> Client.request_raw c line)
+      in
+      match once () with Error _ -> once () | ok -> ok)
+
+(* Streaming forward: progress frames from the shard relay to the
+   client as they arrive; the first non-frame line is the response.
+   No reconnect-retry — frames may already have reached the client, so
+   a mid-stream transport failure surfaces as an error instead of a
+   silent replay. *)
+let forward_stream t conns name ~on_progress line =
+  counted t name (fun () ->
+      exchange t conns name (fun c ->
+          Client.request_stream c ~on_progress line))
 
 (* Responses the router composes itself are sealed like a shard's;
    relayed shard lines keep the shard's own seal (relay is verbatim). *)
@@ -296,7 +300,8 @@ let note_chained t name line =
    re-rendered.  A [stream] request switches to the streaming forward so
    the shard's progress frames relay through in arrival order. *)
 let forward_work t conns name oc ~(env : Wire.envelope) line =
-  if env.Wire.stream then forward t conns name ~on_progress:(relay oc) line
+  if env.Wire.stream then
+    forward_stream t conns name ~on_progress:(relay oc) line
   else forward t conns name line
 
 let handle_decide t conns oc line ~env ~lang ~k ~instance =

@@ -97,10 +97,6 @@ type config = {
   health_cooldown_s : float;
       (** how long a down mark lasts before the next request probes the
           shard again (default 1.0 s) *)
-  idle_timeout_s : float option;
-      (** close a client connection whose {e next} request does not
-          arrive within this many seconds, as {!Server.config}'s
-          [idle_timeout_s] does; [None] (default): wait forever *)
 }
 
 val default_config : config

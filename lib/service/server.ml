@@ -137,9 +137,14 @@ let h_delta = Obs.Histogram.make "op.delta"
 
 let incr a = ignore (Atomic.fetch_and_add a 1)
 
-(* The store is opened before the socket is bound, so a bad store
-   leaves no socket file behind. *)
+(* The gate holds no resource, so it is checked first.  The store is
+   opened before the socket is bound, so a bad store leaves no socket
+   file behind; if anything after it fails, the store is closed. *)
 let create ?(config = default_config) addr =
+  let gate =
+    Admission.make ~max_inflight:config.max_inflight
+      ~queue_depth:config.queue_depth
+  in
   let durable =
     Option.map
       (fun dir ->
@@ -152,15 +157,12 @@ let create ?(config = default_config) addr =
                (Unix.error_message e) fn arg))
       config.store_dir
   in
-  let cache_ = Cache.create ~config:config.cache ?durable () in
-  let gate =
-    Admission.make ~max_inflight:config.max_inflight
-      ~queue_depth:config.queue_depth
-  in
-  let ep =
-    try Endpoint.listen ?idle_timeout_s:config.idle_timeout_s addr
+  let cache_, ep =
+    try
+      let cache_ = Cache.create ~config:config.cache ?durable () in
+      (cache_, Endpoint.listen ?idle_timeout_s:config.idle_timeout_s addr)
     with e ->
-      (try Cache.close cache_ with _ -> ());
+      Option.iter (fun d -> try Tier.close d with _ -> ()) durable;
       raise e
   in
   {

@@ -139,10 +139,12 @@ type t
 val create : ?config:config -> Wire.address -> t
 (** Open the durable store, if any, then bind and listen (a stale
     Unix-socket file is unlinked first).  Binding comes last, so a
-    failed [create] leaves no socket file behind.
+    failed [create] leaves no socket file behind, and a failure after
+    the store opened closes it again.
     @raise Failure naming the store when it cannot be opened;
     [Unix.Unix_error] when binding fails;
-    [Invalid_argument] on a bad [max_inflight]/[queue_depth]. *)
+    [Invalid_argument] on a bad [max_inflight]/[queue_depth] or a
+    cache capacity below 1. *)
 
 val cache : t -> Cache.t
 val config : t -> config
