@@ -124,13 +124,13 @@ let random ?(seed = 0) ~n ~delta ~labels ~density () =
 let random_relation ?(seed = 0) g ~density =
   let rng = Prng.create (seed + 7919) in
   let n = Data_graph.size g in
-  let r = ref (Relation.empty n) in
+  let pairs = ref [] in
   for u = 0 to n - 1 do
     for v = 0 to n - 1 do
-      if Prng.float rng < density then r := Relation.add !r u v
+      if Prng.float rng < density then pairs := (u, v) :: !pairs
     done
   done;
-  !r
+  Relation.of_list n !pairs
 
 let random_reachable_relation ?(seed = 0) g ~count =
   let rng = Prng.create (seed + 104729) in
@@ -143,11 +143,10 @@ let random_reachable_relation ?(seed = 0) g ~count =
     done
   done;
   let candidates = Array.of_list !candidates in
-  let r = ref (Relation.empty n) in
+  let pairs = ref [] in
   let m = Array.length candidates in
   if m > 0 then
     for _ = 1 to count do
-      let u, v = candidates.(Prng.int rng m) in
-      r := Relation.add !r u v
+      pairs := candidates.(Prng.int rng m) :: !pairs
     done;
-  !r
+  Relation.of_list n !pairs

@@ -2,10 +2,15 @@
     operators of Definition 26: union [+], composition [∘], and the
     [=]/[≠]-restrictions by data value.
 
-    Relations are dense bitsets (an [n × n] bit matrix), so composition is
-    boolean matrix multiplication and relations hash cheaply — the REE
+    A relation is one flat [int array] of word rows: row [u] holds the
+    successors of [u] in [⌈n/63⌉] native words
+    ({!Util.Bitset.bits_per_word} bits each).  Composition is a boolean
+    matrix product that ORs whole rows, and [equal], [hash], [subset] and
+    the set operators are word loops with no intermediate copy — the REE
     definability procedure (Section 4) computes fixpoints over sets of
-    relations and relies on this. *)
+    relations and relies on this.  Values are immutable: [add] and
+    [remove] return a copy, so build a relation from many pairs with
+    {!of_list}. *)
 
 type t
 
@@ -32,7 +37,13 @@ val is_empty : t -> bool
 val equal : t -> t -> bool
 val subset : t -> t -> bool
 val compare : t -> t -> int
+(** A total order: by universe, then as the row-major byte matrix of
+    [⌈n/8⌉] bytes per row that bit [v] of row [u] sets in byte [v/8]
+    at bit [v mod 8], compared bytewise and unsigned.  [Census] sorts by
+    it. *)
+
 val hash : t -> int
+(** Consistent with {!equal}; reads every word. *)
 
 val union : t -> t -> t
 (** [S1 + S2] of Definition 26. *)
@@ -52,6 +63,8 @@ val restrict_neq : value:(int -> Data_value.t) -> t -> t
 
 val filter : (int -> int -> bool) -> t -> t
 val iter : (int -> int -> unit) -> t -> unit
+(** Pairs in lexicographic order, as {!to_list}. *)
+
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 
 val transitive_closure : t -> t

@@ -69,11 +69,11 @@ let of_binary b =
 
 let to_binary r =
   if r.arity <> 2 then invalid_arg "Tuple_relation.to_binary: arity <> 2";
-  fold
-    (fun tup acc ->
-      match tup with [ u; v ] -> Relation.add acc u v | _ -> assert false)
-    r
-    (Relation.empty r.universe)
+  Relation.of_list r.universe
+    (fold
+       (fun tup acc ->
+         match tup with [ u; v ] -> (u, v) :: acc | _ -> assert false)
+       r [])
 
 let pp_with ppf r pr =
   Format.fprintf ppf "{@[<hov>";

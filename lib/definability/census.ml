@@ -22,14 +22,14 @@ let binary ?(max_k = 2) ?sample ?(seed = 0) g =
           invalid_arg
             "Census.binary: too many relations to enumerate; pass ~sample";
         List.init (1 lsl bits) (fun code ->
-            let r = ref (Relation.empty n) in
+            let pairs = ref [] in
             for u = 0 to n - 1 do
               for v = 0 to n - 1 do
                 if (code lsr ((u * n) + v)) land 1 = 1 then
-                  r := Relation.add !r u v
+                  pairs := (u, v) :: !pairs
               done
             done;
-            !r)
+            Relation.of_list n !pairs)
     | Some count ->
         List.init count (fun i ->
             Datagraph.Graph_gen.random_relation ~seed:(seed + i) g ~density:0.3)

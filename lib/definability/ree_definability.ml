@@ -24,57 +24,73 @@ type search = {
   max_height : int;
 }
 
-let closure ?(max_size = 200_000) g =
+(* The closure loop shared by [closure] and [search].  Each element
+   travels with its witness term and the term's height, so no height is
+   recomputed from a term.  Elements are admitted in discovery order:
+   S_ε, the letters, then per popped element its two restrictions and
+   its compositions with every element known at that point, both ways.
+   [finished] stops the loop (and refuses further admissions) once it
+   holds; [note] sees every admitted element.  Returns the elements
+   newest first, whether the exploration was truncated, and the
+   largest height admitted. *)
+let explore ?budget ~max_size ~finished ~note g =
   let value = Data_graph.value g in
-  let tbl : Ree_term.t Rel_tbl.t = Rel_tbl.create 1024 in
+  let take () = match budget with None -> true | Some b -> Budget.take b in
+  let budget_dead () =
+    match budget with None -> false | Some b -> Budget.exhausted b
+  in
+  let tbl : unit Rel_tbl.t = Rel_tbl.create 1024 in
   let order = ref [] in
   let queue = Queue.create () in
   let truncated = ref false in
-  let add rel term =
-    if not (Rel_tbl.mem tbl rel) then begin
-      if Rel_tbl.length tbl >= max_size then truncated := true
+  let max_height = ref 0 in
+  let add rel term height =
+    if (not (finished ())) && not (Rel_tbl.mem tbl rel) then begin
+      if Rel_tbl.length tbl >= max_size || not (take ()) then
+        truncated := true
       else begin
-        Rel_tbl.add tbl rel term;
-        order := (rel, term) :: !order;
-        Queue.add (rel, term) queue
+        Rel_tbl.add tbl rel ();
+        if height > !max_height then max_height := height;
+        let e = (rel, term, height) in
+        order := e :: !order;
+        Queue.add e queue;
+        note rel term
       end
     end
   in
-  add (Relation.identity (Data_graph.size g)) Ree_term.Eps;
+  add (Relation.identity (Data_graph.size g)) Ree_term.Eps 0;
   List.iter
-    (fun a -> add (Relation.edge_relation g a) (Ree_term.Letter a))
+    (fun a -> add (Relation.edge_relation g a) (Ree_term.Letter a) 0)
     (Data_graph.alphabet g);
-  while not (Queue.is_empty queue) do
-    let r, t = Queue.pop queue in
-    add (Relation.restrict_eq ~value r) (Ree_term.EqTest t);
-    add (Relation.restrict_neq ~value r) (Ree_term.NeqTest t);
-    (* Compose with everything known so far, both ways.  The snapshot
-       excludes relations added later in this pop, but those will compose
-       with [r] when they are popped themselves. *)
-    let snapshot = !order in
+  while (not (finished ())) && (not (Queue.is_empty queue)) && not (budget_dead ())
+  do
+    let r, t, h = Queue.pop queue in
+    add (Relation.restrict_eq ~value r) (Ree_term.EqTest t) (h + 1);
+    add (Relation.restrict_neq ~value r) (Ree_term.NeqTest t) (h + 1);
+    (* Compose with everything known so far, both ways.  [!order] is read
+       once, so relations added later in this pop are left out; they
+       compose with [r] when they are popped themselves. *)
     List.iter
-      (fun (x, tx) ->
-        add (Relation.compose r x) (Ree_term.Concat (t, tx));
-        add (Relation.compose x r) (Ree_term.Concat (tx, t)))
-      snapshot
+      (fun (x, tx, hx) ->
+        let hc = max h hx in
+        add (Relation.compose r x) (Ree_term.Concat (t, tx)) hc;
+        add (Relation.compose x r) (Ree_term.Concat (tx, t)) hc)
+      !order
   done;
-  (List.rev !order, !truncated)
+  if budget_dead () then truncated := true;
+  (!order, !truncated, !max_height)
+
+let closure ?(max_size = 200_000) g =
+  let order, truncated, _ =
+    explore ~max_size ~finished:(fun () -> false) ~note:(fun _ _ -> ()) g
+  in
+  (List.rev_map (fun (r, t, _) -> (r, t)) order, truncated)
 
 (* Like [closure], but checks coverage of [s] incrementally and stops as
    soon as every pair has a witness — the common case for definable
    relations, where materializing the whole closure would be wasteful. *)
 let search ?budget ?(max_size = 200_000) g s =
   Obs.Span.with_ "ree.closure" @@ fun () ->
-  let value = Data_graph.value g in
-  let take () = match budget with None -> true | Some b -> Budget.take b in
-  let budget_dead () =
-    match budget with None -> false | Some b -> Budget.exhausted b
-  in
-  let tbl : Ree_term.t Rel_tbl.t = Rel_tbl.create 1024 in
-  let order = ref [] in
-  let queue = Queue.create () in
-  let truncated = ref false in
-  let max_height = ref 0 in
   let witnesses : (int * int, Ree_term.t) Hashtbl.t = Hashtbl.create 16 in
   let remaining = ref (Relation.cardinal s) in
   let note rel term =
@@ -87,35 +103,10 @@ let search ?budget ?(max_size = 200_000) g s =
           end)
         rel
   in
-  let add rel term =
-    if !remaining > 0 && not (Rel_tbl.mem tbl rel) then begin
-      if Rel_tbl.length tbl >= max_size || not (take ()) then
-        truncated := true
-      else begin
-        Rel_tbl.add tbl rel term;
-        max_height := max !max_height (Ree_term.height term);
-        order := (rel, term) :: !order;
-        Queue.add (rel, term) queue;
-        note rel term
-      end
-    end
+  let order, truncated, max_height =
+    explore ?budget ~max_size ~finished:(fun () -> !remaining <= 0) ~note g
   in
-  add (Relation.identity (Data_graph.size g)) Ree_term.Eps;
-  List.iter
-    (fun a -> add (Relation.edge_relation g a) (Ree_term.Letter a))
-    (Data_graph.alphabet g);
-  while !remaining > 0 && (not (Queue.is_empty queue)) && not (budget_dead ())
-  do
-    let r, t = Queue.pop queue in
-    add (Relation.restrict_eq ~value r) (Ree_term.EqTest t);
-    add (Relation.restrict_neq ~value r) (Ree_term.NeqTest t);
-    List.iter
-      (fun (x, tx) ->
-        add (Relation.compose r x) (Ree_term.Concat (t, tx));
-        add (Relation.compose x r) (Ree_term.Concat (tx, t)))
-      !order
-  done;
-  if budget_dead () then truncated := true;
+  let closure_size = List.length order in
   let witnesses_list =
     List.sort compare
       (Hashtbl.fold (fun pair t acc -> (pair, t) :: acc) witnesses [])
@@ -127,16 +118,9 @@ let search ?budget ?(max_size = 200_000) g s =
     |> List.rev
   in
   Log.debug (fun m ->
-      m "explored %d relations (max height %d)%s" (Rel_tbl.length tbl)
-        !max_height
-        (if !truncated then " (truncated)" else ""));
-  {
-    witnesses = witnesses_list;
-    missing;
-    truncated = !truncated;
-    closure_size = Rel_tbl.length tbl;
-    max_height = !max_height;
-  }
+      m "explored %d relations (max height %d)%s" closure_size max_height
+        (if truncated then " (truncated)" else ""));
+  { witnesses = witnesses_list; missing; truncated; closure_size; max_height }
 
 let verdict r =
   if r.missing = [] then Some true

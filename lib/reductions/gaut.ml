@@ -64,13 +64,13 @@ let build g =
   { graph; copies; node; entry }
 
 let lift_relation t s =
-  let out = ref (Relation.empty (Data_graph.size t.graph)) in
+  let pairs = ref [] in
   for c = 0 to t.copies - 1 do
     Relation.iter
-      (fun u v -> out := Relation.add !out (t.entry ~copy:c u) (t.node ~copy:c v))
+      (fun u v -> pairs := (t.entry ~copy:c u, t.node ~copy:c v) :: !pairs)
       s
   done;
-  !out
+  Relation.of_list (Data_graph.size t.graph) !pairs
 
 let rem_definable_via_rpq ?max_tuples g s =
   let t = build g in

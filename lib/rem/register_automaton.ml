@@ -143,14 +143,14 @@ let eval_from a g u =
 
 let eval_on_graph g a =
   let n = Data_graph.size g in
-  let r = ref (Relation.empty n) in
+  let pairs = ref [] in
   for u = 0 to n - 1 do
     let out = eval_from a g u in
     for v = 0 to n - 1 do
-      if out.(v) then r := Relation.add !r u v
+      if out.(v) then pairs := (u, v) :: !pairs
     done
   done;
-  !r
+  Relation.of_list n !pairs
 
 let accepts_nonempty_on_graph g a ~src ~dst = (eval_from a g src).(dst)
 

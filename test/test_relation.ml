@@ -161,6 +161,164 @@ let prop_hash_consistent =
     (QCheck.pair (arb_rel 4) (arb_rel 4))
     (fun (a, b) -> (not (Rel.equal a b)) || Rel.hash a = Rel.hash b)
 
+(* ---------- reference agreement ---------- *)
+
+module Ref = Relation_oracle
+
+(* A case: a universe, two pair lists, a value modulus for the
+   restrictions and a multiplier for [map].  Universes are biased to the
+   word and byte edges (62/63/64, 126/127) and the second list is often
+   the first with a few nearby pairs of one row toggled, so [compare]
+   has to decide inside a byte — often one of the bytes 56–63 and
+   120–127 that straddle two words. *)
+let gen_case =
+  QCheck.Gen.(
+    let edge = oneofl [ 0; 1; 7; 8; 9; 62; 63; 64; 65; 126; 127; 128; 130 ] in
+    oneof [ edge; int_range 0 130 ] >>= fun n ->
+    let node = int_bound (max 0 (n - 1)) in
+    let sparse = list_size (int_bound (3 * n)) (pair node node) in
+    let dense =
+      float_range 0.3 0.9 >>= fun p ->
+      list_repeat n (list_repeat n (float_bound_inclusive 1.)) >|= fun rows ->
+      List.concat
+        (List.mapi
+           (fun u row ->
+             List.concat (List.mapi (fun v x -> if x < p then [ (u, v) ] else []) row))
+           rows)
+    in
+    let edges =
+      let col = oneofl [ 0; 55; 56; 61; 62; 63; 64; 69; 70; 125; 126; 127; 129 ] in
+      list_size (int_bound (2 * n)) (pair node (map (fun v -> min v (n - 1)) col))
+    in
+    let rel = if n = 0 then return [] else oneof [ sparse; dense; edges ] in
+    rel >>= fun a ->
+    let toggles =
+      if n = 0 then return []
+      else
+        node >>= fun u ->
+        oneof [ node; oneofl [ 57; 60; 63; 121; 124; 127 ] ] >>= fun v ->
+        let v = min v (n - 1) in
+        list_size (int_range 1 3) (int_range (-8) 8) >|= fun ds ->
+        (u, v) :: List.map (fun d -> (u, max 0 (min (n - 1) (v + d)))) ds
+    in
+    (* Bit 63 or 127 with a lower bit of the same byte: the first
+       differing byte straddles two words. *)
+    let straddle =
+      node >>= fun u ->
+      oneofl (List.filter (fun v -> v < n) [ 63; 127 ]) >>= fun hi ->
+      int_range 1 7 >|= fun d -> [ (u, hi); (u, hi - d) ]
+    in
+    let toggles = if n > 63 then oneof [ toggles; straddle ] else toggles in
+    let toggled =
+      toggles >|= fun ts ->
+      List.fold_left
+        (fun l p -> if List.mem p l then List.filter (( <> ) p) l else p :: l)
+        a ts
+    in
+    oneof [ return a; toggled; toggled; rel ] >>= fun b ->
+    int_range 1 4 >>= fun k ->
+    int_range 1 5 >|= fun m -> (n, a, b, k, m))
+
+let print_case (n, a, b, k, m) =
+  let pl l = String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "%d,%d" u v) l) in
+  Printf.sprintf "n=%d k=%d m=%d\na=[%s]\nb=[%s]" n k m (pl a) (pl b)
+
+(* The result of [f], or the exception it raised. *)
+let attempt f = match f () with x -> Ok x | exception e -> Error e
+
+let prop_reference =
+  QCheck.Test.make ~count:300 ~long_factor:30
+    ~name:"relation = byte-matrix reference"
+    (QCheck.make ~print:print_case gen_case)
+    (fun (n, pa, pb, k, m) ->
+      let agree what x y =
+        if x <> y then QCheck.Test.fail_reportf "%s disagrees with the reference" what
+      in
+      let a = Rel.of_list n pa and b = Rel.of_list n pb in
+      let oa = Ref.of_list n pa and ob = Ref.of_list n pb in
+      let same what r o = agree what (Rel.to_list r) (Ref.to_list o) in
+      let seq it r =
+        let l = ref [] in
+        it (fun u v -> l := (u, v) :: !l) r;
+        !l
+      in
+      same "of_list a" a oa;
+      same "of_list b" b ob;
+      agree "iter" (seq Rel.iter a) (seq Ref.iter oa);
+      agree "fold" (Rel.fold (fun u v l -> (u, v) :: l) a [])
+        (Ref.fold (fun u v l -> (u, v) :: l) oa []);
+      agree "cardinal" (Rel.cardinal a) (Ref.cardinal oa);
+      agree "is_empty" (Rel.is_empty a) (Ref.is_empty oa);
+      agree "equal" (Rel.equal a b) (Ref.equal oa ob);
+      agree "subset a b" (Rel.subset a b) (Ref.subset oa ob);
+      agree "subset b a" (Rel.subset b a) (Ref.subset ob oa);
+      agree "compare a b" (compare (Rel.compare a b) 0) (compare (Ref.compare oa ob) 0);
+      agree "compare b a" (compare (Rel.compare b a) 0) (compare (Ref.compare ob oa) 0);
+      agree "compare a a" (Rel.compare a a) 0;
+      (* Probes on and just off the universe, for the exceptions too. *)
+      let probes =
+        [ (0, 0); (n - 1, n - 1); (n / 2, n - 1); (n - 1, 0); (-1, 0); (0, n); (n, n) ]
+        @ List.filteri (fun i _ -> i < 3) pb
+      in
+      List.iter
+        (fun (u, v) ->
+          agree "mem" (attempt (fun () -> Rel.mem a u v)) (attempt (fun () -> Ref.mem oa u v));
+          agree "add"
+            (attempt (fun () -> Rel.to_list (Rel.add a u v)))
+            (attempt (fun () -> Ref.to_list (Ref.add oa u v)));
+          agree "remove"
+            (attempt (fun () -> Rel.to_list (Rel.remove a u v)))
+            (attempt (fun () -> Ref.to_list (Ref.remove oa u v)));
+          agree "of_list out of range"
+            (attempt (fun () -> Rel.to_list (Rel.of_list n ((u, v) :: pa))))
+            (attempt (fun () -> Ref.to_list (Ref.of_list n ((u, v) :: pa)))))
+        probes;
+      let binop what f g = same what (f a b) (g oa ob) in
+      binop "union" Rel.union Ref.union;
+      binop "inter" Rel.inter Ref.inter;
+      binop "diff" Rel.diff Ref.diff;
+      binop "compose a b" Rel.compose Ref.compose;
+      binop "compose b a" (fun a b -> Rel.compose b a) (fun a b -> Ref.compose b a);
+      (* Universe mismatches raise the same exceptions. *)
+      let c = Rel.empty (n + 1) and oc = Ref.empty (n + 1) in
+      let mismatch what f g =
+        agree what
+          (attempt (fun () -> Rel.to_list (f a c)))
+          (attempt (fun () -> Ref.to_list (g oa oc)))
+      in
+      mismatch "union mismatch" Rel.union Ref.union;
+      mismatch "inter mismatch" Rel.inter Ref.inter;
+      mismatch "diff mismatch" Rel.diff Ref.diff;
+      mismatch "compose mismatch" Rel.compose Ref.compose;
+      agree "subset mismatch"
+        (attempt (fun () -> Rel.subset a c))
+        (attempt (fun () -> Ref.subset oa oc));
+      let value v = dv (v mod k) in
+      same "restrict_eq" (Rel.restrict_eq ~value a) (Ref.restrict_eq ~value oa);
+      same "restrict_neq" (Rel.restrict_neq ~value a) (Ref.restrict_neq ~value oa);
+      let p u v = ((u * 7) + (v * 3)) mod (k + 1) = 0 in
+      same "filter" (Rel.filter p a) (Ref.filter p oa);
+      if n <= 70 then
+        same "transitive_closure" (Rel.transitive_closure a) (Ref.transitive_closure oa);
+      let h v = (v * m) mod max 1 n in
+      same "map" (Rel.map h a) (Ref.map h oa);
+      let off v = v + m - 1 in
+      agree "map out of range"
+        (attempt (fun () -> Rel.to_list (Rel.map off a)))
+        (attempt (fun () -> Ref.to_list (Ref.map off oa)));
+      (* [hash] agrees with [equal]: a rebuild hashes alike, and toggling
+         one pair — the last row's last word included — changes it. *)
+      agree "hash of a rebuild" (Rel.hash (Rel.of_list n (List.rev pa))) (Rel.hash a);
+      if Rel.equal a b then agree "hash of equal" (Rel.hash a) (Rel.hash b);
+      if n > 0 then
+        List.iter
+          (fun (u, v) ->
+            let t = if Rel.mem a u v then Rel.remove a u v else Rel.add a u v in
+            if Rel.hash t = Rel.hash a then
+              QCheck.Test.fail_reportf "hash ignores pair (%d,%d)" u v)
+          [ (n - 1, n - 1); (n - 1, 0); (0, n - 1); (n / 2, n / 2) ];
+      true)
+
 let () =
   Alcotest.run "relation"
     [
@@ -190,4 +348,5 @@ let () =
             prop_closure_transitive;
             prop_hash_consistent;
           ] );
+      ("reference", [ QCheck_alcotest.to_alcotest prop_reference ]);
     ]
