@@ -867,9 +867,11 @@ let serve_cmd =
       $ fsync_arg $ auto_compact_arg $ shard_arg $ trace_arg $ slow_ms_arg
       $ idle_timeout_arg $ failpoints_arg $ fault_seed_arg)
 
-let retries_arg =
+(* [client] defaults to no retries; [route] to the router's own
+   default, since a router is often started just before its shards. *)
+let retries_arg default =
   Arg.(
-    value & opt int 0
+    value & opt int default
     & info [ "connect-retries" ] ~docv:"N"
         ~doc:
           "Retry a refused connect up to $(docv) times with exponential \
@@ -1074,7 +1076,7 @@ let client_cmd =
           overloaded.")
     Term.(
       const run $ address_arg $ op_arg $ files_arg $ lang_arg $ k_arg
-      $ fuel_arg $ timeout_arg $ ms_arg $ digest_arg $ edit_arg $ retries_arg
+      $ fuel_arg $ timeout_arg $ ms_arg $ digest_arg $ edit_arg $ retries_arg 0
       $ backoff_arg $ trace_id_arg $ progress_arg)
 
 let route_cmd =
@@ -1188,7 +1190,8 @@ let route_cmd =
           in the router's $(b,errors) stat.")
     Term.(
       const run $ address_arg $ shards_arg $ vnodes_arg $ warm_arg
-      $ retries_arg $ backoff_arg $ trace_arg $ shard_timeout_arg
+      $ retries_arg Service.Router.default_config.connect_retries
+      $ backoff_arg $ trace_arg $ shard_timeout_arg
       $ unhealthy_after_arg $ health_cooldown_arg)
 
 (* Stitch per-process Chrome trace files (each traced relative to its

@@ -132,16 +132,9 @@ let compare r1 r2 =
       in
       decide (min (lo + 7) (r1.n - 1))
 
-(* One odd multiply and one xor-shift per word, both bijections of the
-   running state, so relations over the same universe that differ in a
-   single word never collide before the final sign-bit mask. *)
-let hash r =
-  let h = ref r.n in
-  for i = 0 to Array.length r.words - 1 do
-    let x = (!h lxor Array.unsafe_get r.words i) * 0x2545F4914F6CDD1D in
-    h := x lxor (x lsr 29)
-  done;
-  !h land max_int
+(* Relations over the same universe that differ in a single word never
+   collide (see {!Util.Bitset.hash_words}). *)
+let hash r = Util.Bitset.hash_words r.n r.words
 
 let zip_words f r1 r2 =
   if r1.n <> r2.n then invalid_arg "Relation: universe mismatch";
@@ -160,13 +153,16 @@ let subset r1 r2 =
   in
   go (Array.length a - 1)
 
-(* Row-oriented boolean matrix product: result row u is the OR of rows z
-   of [r2] over the set bits z of row u of [r1]. *)
-let compose r1 r2 =
-  if r1.n <> r2.n then invalid_arg "Relation.compose: universe mismatch";
+(* Row-oriented boolean matrix product: row u of [into] becomes the OR
+   of rows z of [r2] over the set bits z of row u of [r1].  Each row is
+   overwritten whole, so [into] needs no clearing first. *)
+let compose_into ~into r1 r2 =
+  if r1.n <> r2.n || into.n <> r1.n then
+    invalid_arg "Relation.compose: universe mismatch";
   let n = r1.n and w = r1.w in
-  let a = r1.words and b = r2.words in
-  let out = Array.make (n * w) 0 in
+  if n > 0 && (into.words == r1.words || into.words == r2.words) then
+    invalid_arg "Relation.compose_into: into aliases an operand";
+  let a = r1.words and b = r2.words and out = into.words in
   if w = 1 then
     for u = 0 to n - 1 do
       let x = ref (Array.unsafe_get a u) and row = ref 0 in
@@ -179,6 +175,7 @@ let compose r1 r2 =
   else
     for u = 0 to n - 1 do
       let base = u * w in
+      Array.fill out base w 0;
       for wi = 0 to w - 1 do
         let x = ref (Array.unsafe_get a (base + wi)) in
         while !x <> 0 do
@@ -190,8 +187,14 @@ let compose r1 r2 =
           x := !x land (!x - 1)
         done
       done
-    done;
-  { n; w; words = out }
+    done
+
+let compose r1 r2 =
+  let out = empty r1.n in
+  compose_into ~into:out r1 r2;
+  out
+
+let copy r = { r with words = Array.copy r.words }
 
 let filter p r =
   let out = empty r.n in

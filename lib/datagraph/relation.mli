@@ -8,8 +8,9 @@
     matrix product that ORs whole rows, and [equal], [hash], [subset] and
     the set operators are word loops with no intermediate copy — the REE
     definability procedure (Section 4) computes fixpoints over sets of
-    relations and relies on this.  Values are immutable: [add] and
-    [remove] return a copy, so build a relation from many pairs with
+    relations and relies on this.  Values are immutable, except a
+    scratch value passed to {!compose_into}: [add] and [remove] return a
+    copy, so build a relation from many pairs with
     {!of_list}. *)
 
 type t
@@ -54,6 +55,17 @@ val diff : t -> t -> t
 val compose : t -> t -> t
 (** [S1 ∘ S2] of Definition 26: [(u,v)] with some [z] such that
     [(u,z) ∈ S1] and [(z,v) ∈ S2]. *)
+
+val compose_into : into:t -> t -> t -> unit
+(** [compose_into ~into r1 r2] overwrites [into] with [compose r1 r2],
+    allocating nothing.  It is the one operation that mutates a
+    relation: [into] must be a scratch value made by {!empty} that no
+    other code holds, so keep a {!copy} of it, never [into] itself.
+    @raise Invalid_argument on a universe mismatch (the same message
+    as {!compose}) or when [into] is [r1] or [r2]. *)
+
+val copy : t -> t
+(** [copy r] equals [r] and shares no storage with it. *)
 
 val restrict_eq : value:(int -> Data_value.t) -> t -> t
 (** [S=]: keep pairs whose endpoints carry equal data values. *)

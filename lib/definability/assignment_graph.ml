@@ -7,6 +7,7 @@ type t = {
   g : Data_graph.t;
   k : int;
   base : int;  (** δ + 1; register code [δ] is ⊥ *)
+  per_node : int;  (** [base^k]: the states of one node *)
   num_states : int;
   blocks : Witness_search.block array;
   decode : (string, Basic_rem.block) Hashtbl.t;
@@ -26,12 +27,12 @@ let encode t v sigma =
   for i = t.k - 1 downto 0 do
     code := (!code * t.base) + sigma.(i)
   done;
-  (v * pow t.base t.k) + !code
+  (v * t.per_node) + !code
 
-let node_of t s = s / pow t.base t.k
+let node_of t s = s / t.per_node
 
 let sigma_of t s =
-  let code = ref (s mod pow t.base t.k) in
+  let code = ref (s mod t.per_node) in
   Array.init t.k (fun _ ->
       let c = !code mod t.base in
       code := !code / t.base;
@@ -87,8 +88,11 @@ let create ?(all_condition_sets = false) g ~k =
   let delta = Data_graph.delta g in
   let base = delta + 1 in
   let n = Data_graph.size g in
-  let num_states = n * pow base k in
-  let t0 = { g; k; base; num_states; blocks = [||]; decode = Hashtbl.create 16 } in
+  let per_node = pow base k in
+  let num_states = n * per_node in
+  let t0 =
+    { g; k; base; per_node; num_states; blocks = [||]; decode = Hashtbl.create 16 }
+  in
   (* Successors of one state under ↓r̄.a, partitioned by the complete type
      realized at the target: succ_by_type.(state) is a list of
      (type-as-int, state').  A type is encoded as a bit per register. *)
@@ -138,14 +142,14 @@ let create ?(all_condition_sets = false) g ~k =
     let label = Data_graph.label_name g lbl in
     let name = block_name bind label cond in
     let tybits = List.map type_bits tys in
-    let arr = List.assoc (bind, lbl) base_succ in
-    let succ s =
-      List.filter_map
-        (fun (tb, s') -> if List.mem tb tybits then Some s' else None)
-        arr.(s)
+    let succs =
+      Array.map
+        (List.filter_map (fun (tb, s') ->
+             if List.mem tb tybits then Some s' else None))
+        (List.assoc (bind, lbl) base_succ)
     in
     Hashtbl.replace decode name { Basic_rem.bind; label; cond };
-    { Witness_search.name; succ }
+    { Witness_search.name; succ = Array.get succs }
   in
   let blocks =
     List.concat_map

@@ -32,7 +32,10 @@ type search = {
    [finished] stops the loop (and refuses further admissions) once it
    holds; [note] sees every admitted element.  Returns the elements
    newest first, whether the exploration was truncated, and the
-   largest height admitted. *)
+   largest height admitted.
+
+   Nearly every composition is a relation already known, so each is
+   built in one scratch relation and copied only when it is admitted. *)
 let explore ?budget ~max_size ~finished ~note g =
   let value = Data_graph.value g in
   let take () = match budget with None -> true | Some b -> Budget.take b in
@@ -44,11 +47,12 @@ let explore ?budget ~max_size ~finished ~note g =
   let queue = Queue.create () in
   let truncated = ref false in
   let max_height = ref 0 in
-  let add rel term height =
+  let add ?(keep = Fun.id) rel term height =
     if (not (finished ())) && not (Rel_tbl.mem tbl rel) then begin
       if Rel_tbl.length tbl >= max_size || not (take ()) then
         truncated := true
       else begin
+        let rel = keep rel in
         Rel_tbl.add tbl rel ();
         if height > !max_height then max_height := height;
         let e = (rel, term, height) in
@@ -57,6 +61,11 @@ let explore ?budget ~max_size ~finished ~note g =
         note rel term
       end
     end
+  in
+  let scratch = Relation.empty (Data_graph.size g) in
+  let add_composed r1 r2 term height =
+    Relation.compose_into ~into:scratch r1 r2;
+    add ~keep:Relation.copy scratch term height
   in
   add (Relation.identity (Data_graph.size g)) Ree_term.Eps 0;
   List.iter
@@ -73,8 +82,8 @@ let explore ?budget ~max_size ~finished ~note g =
     List.iter
       (fun (x, tx, hx) ->
         let hc = max h hx in
-        add (Relation.compose r x) (Ree_term.Concat (t, tx)) hc;
-        add (Relation.compose x r) (Ree_term.Concat (tx, t)) hc)
+        add_composed r x (Ree_term.Concat (t, tx)) hc;
+        add_composed x r (Ree_term.Concat (tx, t)) hc)
       !order
   done;
   if budget_dead () then truncated := true;

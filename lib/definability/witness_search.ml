@@ -28,36 +28,126 @@ type outcome = {
 }
 
 (* Representation.  A state set is [w = ⌈num_states / Sys.int_size⌉]
-   native words, one state per bit, and a tuple ⟨Q_1,…,Q_n⟩ is its n
-   sets laid end to end: [stride = n·w] ints.  Every registered tuple
-   lives in one growable word arena, and its id is its registration
-   index, so tuple [id] occupies [arena.(id·stride) …] and the FIFO
-   queue is just a cursor over ids.
+   native words, one state per bit.  Every source runs the same
+   transition system, so a tuple ⟨Q_1,…,Q_n⟩ is a point in the n-fold
+   product of one subset automaton, and few distinct sets recur across
+   many tuples.  So each distinct set met in a search is interned: its
+   id is its order of first sight (id 0 is ∅), and its words live at
+   [w·id] in one growable arena.  [img.(c·nb + b)] holds the id of set
+   c's image under block b, or -1 until it is first needed; the first
+   request takes the union of the block's precomputed successor rows
+   over c's bits, so each (set, block) image is computed at most once
+   per search.
 
-   A successor is built in one reused scratch buffer: per source, the
-   union of the block's precomputed successor rows over the set bits.
-   It is hashed and probed there and copied into the arena only when it
-   is new, so a successor that was already seen allocates nothing.
+   A tuple is its n set ids, laid end to end in a second arena, and its
+   id is its registration index, so the FIFO queue is a cursor over
+   ids.  A successor is n reads of [img] into a scratch key, one hash
+   and one probe; it is empty iff every id is 0, and it is copied into
+   the arena only when it is new.  Safety and covering read each set's
+   words through its id.
 
-   The visited set is an open-addressing table of ids with linear
-   probing; each tuple's hash is stored beside it, so probing compares
-   full words only on a hash match and growing the table never rehashes
-   a tuple.  The hash mixes every word of the tuple ([Hashtbl.hash]
-   would not do: it samples only a bounded prefix of the structure,
-   which collides catastrophically on wide tuples). *)
+   Sets and tuples are each found by an {!Intern} table: open
+   addressing with linear probing over ids, each key's hash stored
+   beside it, so probing compares full keys only on a hash match and
+   growing never rehashes a key.  The hash ({!Util.Bitset.hash_words})
+   mixes every word ([Hashtbl.hash] would not do: it samples only a
+   bounded prefix of the structure, which collides catastrophically on
+   wide keys).  Every table starts small and doubles when it fills: a
+   large first allocation would go straight to the major heap on every
+   search, however short. *)
 
 let bpw = Sys.int_size
 
 (* Index of the single set bit of [b]. *)
 let bit_index b = Util.Bitset.popcount (b - 1)
 
-let hash_words a =
-  let h = ref (Array.length a) in
-  for k = 0 to Array.length a - 1 do
-    let x = (!h lxor Array.unsafe_get a k) * 0x2545F4914F6CDD1D in
-    h := x lxor (x lsr 29)
-  done;
-  !h land max_int
+(* [a] copied into a fresh array of [len] elements, the rest [fill]. *)
+let extend a len fill =
+  let a' = Array.make len fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+(* Fixed-width int keys, each numbered by insertion order.  A lookup
+   reads its key from [scratch]; key [id] sits at [keys.(id·stride)]. *)
+module Intern = struct
+  type t = {
+    stride : int;
+    scratch : int array;
+    mutable keys : int array;
+    mutable hashes : int array;
+    mutable slots : int array;  (* ids, -1 when free; under half full *)
+    mutable count : int;
+  }
+
+  let create stride =
+    {
+      stride;
+      scratch = Array.make stride 0;
+      keys = Array.make (64 * stride) 0;
+      hashes = Array.make 64 0;
+      slots = Array.make 128 (-1);
+      count = 0;
+    }
+
+  let capacity t = Array.length t.hashes
+  let hash_scratch t = Util.Bitset.hash_words t.stride t.scratch
+
+  (* The slot holding [scratch]'s key, or the free slot where it
+     belongs. *)
+  let probe t h =
+    let slots = t.slots and keys = t.keys and hs = t.hashes in
+    let stride = t.stride and scratch = t.scratch in
+    let mask = Array.length slots - 1 in
+    let same id =
+      Array.unsafe_get hs id = h
+      &&
+      let off = id * stride in
+      let rec go k =
+        k >= stride
+        || (Array.unsafe_get keys (off + k) = Array.unsafe_get scratch k
+           && go (k + 1))
+      in
+      go 0
+    in
+    let rec find slot =
+      let id = Array.unsafe_get slots slot in
+      if id < 0 || same id then slot else find ((slot + 1) land mask)
+    in
+    find (h land mask)
+
+  (* Copy [scratch] in as the next id and enter it at [slot] (from
+     {!probe}).  Doubles the key columns when they are full. *)
+  let add t h slot =
+    let id = t.count in
+    if id = capacity t then begin
+      t.keys <- extend t.keys (2 * id * t.stride) 0;
+      t.hashes <- extend t.hashes (2 * id) 0
+    end;
+    Array.blit t.scratch 0 t.keys (id * t.stride) t.stride;
+    t.hashes.(id) <- h;
+    t.count <- id + 1;
+    if 2 * t.count <= Array.length t.slots then t.slots.(slot) <- id
+    else begin
+      let slots = Array.make (2 * Array.length t.slots) (-1) in
+      let mask = Array.length slots - 1 in
+      for id = 0 to t.count - 1 do
+        let slot = ref (t.hashes.(id) land mask) in
+        while slots.(!slot) >= 0 do
+          slot := (!slot + 1) land mask
+        done;
+        slots.(!slot) <- id
+      done;
+      t.slots <- slots
+    end;
+    id
+
+  (* The id of [scratch]'s key, interning it when it is new. *)
+  let intern t =
+    let h = hash_scratch t in
+    let slot = probe t h in
+    let id = t.slots.(slot) in
+    if id >= 0 then id else add t h slot
+end
 
 let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
   Obs.Span.with_ "witness.search" @@ fun () ->
@@ -74,8 +164,8 @@ let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
     match budget with None -> false | Some b -> Engine.Budget.exhausted b
   in
   let ns = cfg.num_states in
+  let nb = Array.length cfg.blocks in
   let w = (ns + bpw - 1) / bpw in
-  let stride = n * w in
   let in_range s =
     if s < 0 || s >= ns then
       invalid_arg (Printf.sprintf "Witness_search.search: state %d out of range" s)
@@ -103,84 +193,55 @@ let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
   let node_of = Array.init ns cfg.node_of in
   (* States whose projection leaves the target: words [i·w …] mask
      source i's. *)
-  let bad = Array.make stride 0 in
+  let bad = Array.make (n * w) 0 in
   for i = 0 to n - 1 do
     for s = 0 to ns - 1 do
       if not (Relation.mem target i node_of.(s)) then set_bit bad (i * w) s
     done
   done;
-  (* The arena and its per-tuple columns: hash, parent id (-1 for the
-     root) and the block that led from the parent.  They start small and
-     double: a large first allocation would go straight to the major
-     heap on every search, however short. *)
-  let cap = ref 64 in
-  let arena = ref (Array.make (!cap * stride) 0) in
-  let hashes = ref (Array.make !cap 0) in
-  let parent = ref (Array.make !cap (-1)) in
-  let via = ref (Array.make !cap (-1)) in
-  let count = ref 0 in
-  (* Visited table: slots hold ids, -1 when free; kept under half full. *)
-  let table = ref (Array.make (2 * !cap) (-1)) in
-  let grow_columns () =
-    let cap' = 2 * !cap in
-    let extend a len fill =
-      let a' = Array.make len fill in
-      Array.blit a 0 a' 0 (Array.length a);
-      a'
-    in
-    arena := extend !arena (cap' * stride) 0;
-    hashes := extend !hashes cap' 0;
-    parent := extend !parent cap' (-1);
-    via := extend !via cap' (-1);
-    cap := cap'
-  in
-  let rehash () =
-    let t = Array.make (2 * Array.length !table) (-1) in
-    let mask = Array.length t - 1 in
-    for id = 0 to !count - 1 do
-      let slot = ref (!hashes.(id) land mask) in
-      while t.(!slot) >= 0 do
-        slot := (!slot + 1) land mask
+  let sets = Intern.create w in
+  ignore (Intern.intern sets : int);
+  let img = ref (Array.make (Intern.capacity sets * nb) (-1)) in
+  (* The id of set [c]'s image under block [b]. *)
+  let image c b =
+    let k = (c * nb) + b in
+    let cached = !img.(k) in
+    if cached >= 0 then cached
+    else begin
+      let out = sets.scratch and src = sets.keys and rows = succ_rows.(b) in
+      Array.fill out 0 w 0;
+      for j = 0 to w - 1 do
+        let x = ref src.((c * w) + j) in
+        while !x <> 0 do
+          let bit = !x land - !x in
+          let r = ((j * bpw) + bit_index bit) * w in
+          for k = 0 to w - 1 do
+            Array.unsafe_set out k
+              (Array.unsafe_get out k lor Array.unsafe_get rows (r + k))
+          done;
+          x := !x lxor bit
+        done
       done;
-      t.(!slot) <- id
-    done;
-    table := t
+      let id = Intern.intern sets in
+      if Array.length !img < Intern.capacity sets * nb then
+        img := extend !img (Intern.capacity sets * nb) (-1);
+      !img.(k) <- id;
+      id
+    end
   in
-  let scratch = Array.make stride 0 in
-  (* The slot holding [scratch]'s tuple, or the free slot where it
-     belongs. *)
-  let probe h =
-    let t = !table and a = !arena and hs = !hashes in
-    let mask = Array.length t - 1 in
-    let same id =
-      hs.(id) = h
-      &&
-      let off = id * stride in
-      let rec go k =
-        k >= stride
-        || (Array.unsafe_get a (off + k) = Array.unsafe_get scratch k
-           && go (k + 1))
-      in
-      go 0
-    in
-    let rec find slot =
-      let id = t.(slot) in
-      if id < 0 || same id then slot else find ((slot + 1) land mask)
-    in
-    find (h land mask)
-  in
-  (* Copy [scratch] into the arena as the next id and enter it in the
-     table at [slot] (from {!probe}). *)
+  let tuples = Intern.create n in
+  (* Per tuple: parent id (-1 for the root) and the block that led from
+     the parent. *)
+  let parent = ref (Array.make (Intern.capacity tuples) (-1)) in
+  let via = ref (Array.make (Intern.capacity tuples) (-1)) in
   let register h slot ~from ~block =
-    let id = !count in
-    if id = !cap then grow_columns ();
-    Array.blit scratch 0 !arena (id * stride) stride;
-    !hashes.(id) <- h;
+    let id = Intern.add tuples h slot in
+    if id = Array.length !parent then begin
+      parent := extend !parent (Intern.capacity tuples) (-1);
+      via := extend !via (Intern.capacity tuples) (-1)
+    end;
     !parent.(id) <- from;
-    !via.(id) <- block;
-    incr count;
-    if 2 * !count > Array.length !table then rehash ()
-    else !table.(slot) <- id
+    !via.(id) <- block
   in
   (* Covered pairs: an n×n byte matrix, a counter, and the id of the
      tuple that first covered each pair. *)
@@ -194,11 +255,13 @@ let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
   Array.iteri
     (fun i s ->
       in_range s;
-      set_bit scratch (i * w) s)
+      Array.fill sets.scratch 0 w 0;
+      set_bit sets.scratch 0 s;
+      tuples.scratch.(i) <- Intern.intern sets)
     cfg.sources;
   if take () then begin
-    let h = hash_words scratch in
-    register h (probe h) ~from:(-1) ~block:(-1)
+    let h = Intern.hash_scratch tuples in
+    register h (Intern.probe tuples h) ~from:(-1) ~block:(-1)
   end
   else truncated := true;
   (* FIFO BFS over tuples, in id order.  A popped tuple that is safe
@@ -206,25 +269,29 @@ let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
      completes the target, its non-empty successor under every block is
      registered (one unit of fuel each) and queued. *)
   let head = ref 0 in
-  while !head < !count && (not !done_) && not (budget_dead ()) do
+  while !head < tuples.count && (not !done_) && not (budget_dead ()) do
     let id = !head in
     incr head;
-    let off = id * stride in
-    let a = !arena in
+    let off = id * n in
+    let t = tuples.keys in
     let safe = ref true in
-    for k = 0 to stride - 1 do
-      if a.(off + k) land bad.(k) <> 0 then safe := false
+    for i = 0 to n - 1 do
+      let c = t.(off + i) * w in
+      for j = 0 to w - 1 do
+        if sets.keys.(c + j) land bad.((i * w) + j) <> 0 then safe := false
+      done
     done;
     if !safe then begin
       for i = 0 to n - 1 do
+        let c = t.(off + i) * w in
         for j = 0 to w - 1 do
-          let x = ref a.(off + (i * w) + j) in
+          let x = ref sets.keys.(c + j) in
           while !x <> 0 do
             let b = !x land - !x in
             let q = node_of.((j * bpw) + bit_index b) in
-            let c = (i * n) + q in
-            if Bytes.get covered c = '\000' then begin
-              Bytes.set covered c '\001';
+            let p = (i * n) + q in
+            if Bytes.get covered p = '\000' then begin
+              Bytes.set covered p '\001';
               incr covered_count;
               first_cover := (i, q, id) :: !first_cover
             end;
@@ -235,38 +302,23 @@ let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
       if !covered_count = target_card then done_ := true
     end;
     if not !done_ then
-      Array.iteri
-        (fun bi rows ->
-          (* Registering may move the arena; re-read it per block. *)
-          let a = !arena in
-          let any = ref 0 in
-          for i = 0 to n - 1 do
-            let row = i * w in
-            Array.fill scratch row w 0;
-            for j = 0 to w - 1 do
-              let x = ref a.(off + row + j) in
-              while !x <> 0 do
-                let b = !x land - !x in
-                let r = ((j * bpw) + bit_index b) * w in
-                for k = 0 to w - 1 do
-                  scratch.(row + k) <-
-                    scratch.(row + k) lor Array.unsafe_get rows (r + k)
-                done;
-                x := !x lxor b
-              done
-            done;
-            for k = row to row + w - 1 do
-              any := !any lor scratch.(k)
-            done
-          done;
-          if !any <> 0 then begin
-            let h = hash_words scratch in
-            let slot = probe h in
-            if !table.(slot) < 0 then
-              if !count >= max_tuples || not (take ()) then truncated := true
-              else register h slot ~from:id ~block:bi
-          end)
-        succ_rows
+      for b = 0 to nb - 1 do
+        (* Registering may move the tuple arena; re-read it per block. *)
+        let t = tuples.keys and succ = tuples.scratch in
+        let any = ref 0 in
+        for i = 0 to n - 1 do
+          let c = image t.(off + i) b in
+          succ.(i) <- c;
+          any := !any lor c
+        done;
+        if !any <> 0 then begin
+          let h = Intern.hash_scratch tuples in
+          let slot = Intern.probe tuples h in
+          if tuples.slots.(slot) < 0 then
+            if tuples.count >= max_tuples || not (take ()) then truncated := true
+            else register h slot ~from:id ~block:b
+        end
+      done
   done;
   (* Reconstruct block sequences for covered pairs. *)
   let path_of id =
@@ -290,7 +342,7 @@ let search ?(max_tuples = 2_000_000) ?budget cfg ~target =
     else Not_definable (Relation.to_list (Relation.diff target covered))
   in
   Log.debug (fun m ->
-      m "explored %d tuples; covered %d/%d pairs%s" !count !covered_count
-        target_card
+      m "explored %d tuples over %d state sets; covered %d/%d pairs%s"
+        tuples.count sets.count !covered_count target_card
         (if !truncated then " (truncated)" else ""));
-  { verdict; covered; witnesses; tuples_explored = !count }
+  { verdict; covered; witnesses; tuples_explored = tuples.count }

@@ -66,6 +66,17 @@ let popcount x =
   + Char.code (Bytes.unsafe_get pop16 ((x lsr 32) land 0xffff))
   + Char.code (Bytes.unsafe_get pop16 (x lsr 48))
 
+(* One odd multiply and one xor-shift per word, both bijections of the
+   running state, so keys of the same length that differ in a single
+   word never collide before the final sign-bit mask. *)
+let hash_words seed a =
+  let h = ref seed in
+  for k = 0 to Array.length a - 1 do
+    let x = (!h lxor Array.unsafe_get a k) * 0x2545F4914F6CDD1D in
+    h := x lxor (x lsr 29)
+  done;
+  !h land max_int
+
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let iter f t =

@@ -10,7 +10,7 @@
     domains in [Hom], adjacency and reachability matrices in
     [Data_graph] (via {!Bitmatrix}); the tuple-of-state-sets BFS in
     [Witness_search] keeps its sets in a flat word arena of its own and
-    uses only {!bits_per_word} and {!popcount}. *)
+    uses only {!bits_per_word}, {!popcount} and {!hash_words}. *)
 
 type t
 
@@ -46,6 +46,12 @@ val cardinal : t -> int
 
 val popcount : int -> int
 (** Population count of one word, via the same table. *)
+
+val hash_words : int -> int array -> int
+(** [hash_words seed a] mixes [seed] and every word of [a] into a
+    non-negative hash.  Arrays of one length differing in a single word
+    never collide; [Relation] and [Witness_search] hash their word keys
+    with it. *)
 
 val equal : t -> t -> bool
 

@@ -268,13 +268,15 @@ type ws_case = {
 let ws_agree c =
   let run search =
     let budget = Option.map (fun f -> Engine.Budget.create ~fuel:f ()) c.fuel in
-    search ?max_tuples:(Some c.max_tuples) ?budget c.cfg ~target:c.target
+    let o = search ?max_tuples:(Some c.max_tuples) ?budget c.cfg ~target:c.target in
+    (o, Option.map Engine.Budget.used budget)
   in
-  let got = run WS.search and want = run Reference.search in
+  let got, got_used = run WS.search and want, want_used = run Reference.search in
   got.WS.verdict = want.WS.verdict
   && Rel.equal got.WS.covered want.WS.covered
   && got.WS.witnesses = want.WS.witnesses
   && got.WS.tuples_explored = want.WS.tuples_explored
+  && got_used = want_used
 
 let print_ws_case c =
   Printf.sprintf "%s: %d states, %d sources, %d blocks, %d target pairs, max %d%s"
@@ -336,6 +338,93 @@ let gen_synthetic_case st =
     fuel;
   }
 
+(* Many distinct state sets: 64–200 states, up to 24 mostly
+   deterministic blocks and one or two start states.  Three cases in
+   four put a pair in the target whose node no state projects to, so
+   the search runs until the space or a cut ends it.  Most searches
+   meet more than 64 sets and register more than 64 tuples, so the set
+   table, the image table and the tuple table all grow past their
+   first size. *)
+let gen_growth_case st =
+  let ns = 64 + Random.State.int st 137 in
+  let n = 2 + Random.State.int st 3 in
+  let starts = Array.init (1 + Random.State.int st 2) (fun _ -> Random.State.int st ns) in
+  let sources = Array.init n (fun _ -> starts.(Random.State.int st (Array.length starts))) in
+  let unreached = Random.State.int st 4 > 0 in
+  let nodes = if unreached then n - 1 else n in
+  let node_tbl = Array.init ns (fun _ -> Random.State.int st nodes) in
+  let blocks =
+    Array.init (2 + Random.State.int st 23) (fun b ->
+        let succ =
+          Array.init ns (fun _ ->
+              match Random.State.int st 10 with
+              | 0 -> []
+              | 1 -> [ Random.State.int st ns; Random.State.int st ns ]
+              | _ -> [ Random.State.int st ns ])
+        in
+        { WS.name = Printf.sprintf "b%d" b; succ = Array.get succ })
+  in
+  let target = gen_target st n in
+  let target = if unreached then Rel.add target 0 (n - 1) else target in
+  let max_tuples = 65 + Random.State.int st 600 in
+  let fuel = if Random.State.int st 4 = 0 then Some (65 + Random.State.int st 600) else None in
+  {
+    label = "growth";
+    cfg = { WS.num_states = ns; sources; node_of = Array.get node_tbl; blocks };
+    target;
+    max_tuples;
+    fuel;
+  }
+
+(* Two distinct one-word state sets whose hashes collide: the set table
+   must still tell them apart by their words.  A set of [w = 1] word
+   [x] hashes to [Util.Bitset.hash_words 1 [| x |]], which ends in
+   an invertible mix and a sign-bit mask, so [x1] and [x2] are the
+   preimages of two mix outputs that differ only in the masked bit. *)
+let colliding_words st =
+  let c = 0x2545F4914F6CDD1D in
+  let inv = ref c in
+  for _ = 1 to 6 do
+    inv := !inv * (2 - (c * !inv))
+  done;
+  let unmix y =
+    let x = y lxor (y lsr 29) lxor (y lsr 58) in
+    (x * !inv) lxor 1
+  in
+  let y = Random.State.bits st lor (Random.State.bits st lsl 30) in
+  let x1 = unmix y and x2 = unmix (y lxor min_int) in
+  let h x = Util.Bitset.hash_words 1 [| x |] in
+  if x1 = x2 || h x1 <> h x2 then failwith "colliding_words: no collision";
+  (x1, x2)
+
+(* 63 states (one word): block 0 takes the start state to the set [x1]
+   and block 1 to [x2], two sets whose hashes collide; the other blocks
+   and successors are random. *)
+let gen_collision_case st =
+  let ns = Sys.int_size in
+  let x1, x2 = colliding_words st in
+  let states x = List.filter (fun s -> (x lsr s) land 1 = 1) (List.init ns Fun.id) in
+  let n = 1 + Random.State.int st 3 in
+  let start = Random.State.int st ns in
+  let sources = Array.init n (fun i -> if i = 0 then start else Random.State.int st ns) in
+  let node_tbl = Array.init ns (fun _ -> Random.State.int st n) in
+  let blocks =
+    Array.init (2 + Random.State.int st 3) (fun b ->
+        let succ =
+          Array.init ns (fun s ->
+              if s = start && b < 2 then states (if b = 0 then x1 else x2)
+              else List.init (Random.State.int st 3) (fun _ -> Random.State.int st ns))
+        in
+        { WS.name = Printf.sprintf "b%d" b; succ = Array.get succ })
+  in
+  {
+    label = "collision";
+    cfg = { WS.num_states = ns; sources; node_of = Array.get node_tbl; blocks };
+    target = gen_target st n;
+    max_tuples = 5_000;
+    fuel = None;
+  }
+
 (* The configs the deciders build, over small random graphs: the RPQ
    search, the profile automaton (REM) and the assignment graph (k-REM,
    k = 1, 2). *)
@@ -374,6 +463,14 @@ let ws_reference_props =
     QCheck.Test.make ~name:"decider configs agree with the reference"
       ~count:150 ~long_factor:20
       (QCheck.make ~print:print_ws_case gen_decider_case)
+      ws_agree;
+    QCheck.Test.make ~name:"grown tables agree with the reference"
+      ~count:100 ~long_factor:20
+      (QCheck.make ~print:print_ws_case gen_growth_case)
+      ws_agree;
+    QCheck.Test.make ~name:"colliding state sets agree with the reference"
+      ~count:100 ~long_factor:20
+      (QCheck.make ~print:print_ws_case gen_collision_case)
       ws_agree;
   ]
 

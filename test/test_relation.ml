@@ -290,6 +290,25 @@ let prop_reference =
       mismatch "inter mismatch" Rel.inter Ref.inter;
       mismatch "diff mismatch" Rel.diff Ref.diff;
       mismatch "compose mismatch" Rel.compose Ref.compose;
+      (* [compose_into] overwrites whatever its scratch held, and a [copy]
+         keeps its value when the scratch is reused. *)
+      let into = Rel.empty n in
+      Rel.compose_into ~into b b;
+      Rel.compose_into ~into a b;
+      same "compose_into a b" into (Ref.compose oa ob);
+      let kept = Rel.copy into in
+      Rel.compose_into ~into b a;
+      same "compose_into b a" into (Ref.compose ob oa);
+      same "copy of a reused scratch" kept (Ref.compose oa ob);
+      same "copy" (Rel.copy a) oa;
+      agree "compose_into mismatch"
+        (attempt (fun () -> Rel.compose_into ~into:c a b))
+        (attempt (fun () -> ignore (Ref.compose oa oc)));
+      let a' = Rel.copy a in
+      agree "compose_into aliasing"
+        (attempt (fun () -> Rel.compose_into ~into:a' a' b))
+        (if n = 0 then Ok ()
+         else Error (Invalid_argument "Relation.compose_into: into aliases an operand"));
       agree "subset mismatch"
         (attempt (fun () -> Rel.subset a c))
         (attempt (fun () -> Ref.subset oa oc));
