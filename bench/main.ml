@@ -610,9 +610,9 @@ let acceptance_cases () =
    path whose work depends on the pool size — batched dispatch; every
    kernel searches sequentially — measured at pool sizes 1/2/4/8 with
    per-row round statistics (min/median/max over [scaling_rounds]
-   rounds) — the acceptance criterion for the work-stealing pool is the
-   shape of this curve, and a single best-of number cannot show whether
-   d4 beat d1 by scaling or by noise.  On a single-core host the whole
+   rounds) — the shape of this curve is what a change to the pool is
+   judged by, and a single best-of number cannot show whether d4 beat
+   d1 by scaling or by noise.  On a single-core host the whole
    family is skipped (explicit nulls, not coordination overhead posing
    as data); [host_domains] rides along in every row so a reader never
    has to guess which kind of host produced it.                         *)

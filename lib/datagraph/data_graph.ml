@@ -10,9 +10,8 @@ type t = {
   name_index : (string, node) Hashtbl.t;
   labels : label array;
   label_index : (label, int) Hashtbl.t;
-  (* succ.(u).(a) and pred.(u).(a) are sorted lists of neighbours. *)
+  (* succ.(u).(a) is the sorted list of [a]-successors of [u]. *)
   succ : node list array array;
-  pred : node list array array;
   edge_list : (node * int * node) list;
   (* Precomputed at build time so [edges] and [edge_count] are O(1). *)
   edges_resolved : (node * label * node) list;
@@ -58,9 +57,6 @@ let domain g = Array.to_list g.domain
 let delta g = Array.length g.domain
 let value_index g v = g.value_idx.(v)
 
-let nodes_with_value g d =
-  List.filter (fun v -> Data_value.equal g.values.(v) d) (nodes g)
-
 let alphabet g = Array.to_list g.labels
 let label_count g = Array.length g.labels
 let label_id g a = Hashtbl.find g.label_index a
@@ -80,8 +76,6 @@ let succ_all g u =
     List.iter (fun v -> acc := (a, v) :: !acc) g.succ.(u).(a)
   done;
   !acc
-
-let pred_id g u a = g.pred.(u).(a)
 
 (* Scratch builders, shared by the lazy cache paths, the edit patch
    paths (removal recompute) and the [audit_edits] assertion. *)
@@ -187,18 +181,15 @@ let build ~values ~edges =
   let labels = Array.of_list (List.rev !labels_rev) in
   let nl = Array.length labels in
   let succ = Array.init n (fun _ -> Array.make nl []) in
-  let pred = Array.init n (fun _ -> Array.make nl []) in
   let seen = Hashtbl.create (max 1 (List.length interned)) in
   List.iter
     (fun (u, a, v) ->
       if Hashtbl.mem seen (u, a, v) then
         invalid_arg "Data_graph.build: duplicate edge";
       Hashtbl.add seen (u, a, v) ();
-      succ.(u).(a) <- v :: succ.(u).(a);
-      pred.(v).(a) <- u :: pred.(v).(a))
+      succ.(u).(a) <- v :: succ.(u).(a))
     interned;
   Array.iter (fun row -> Array.iteri (fun a l -> row.(a) <- List.sort compare l) row) succ;
-  Array.iter (fun row -> Array.iteri (fun a l -> row.(a) <- List.sort compare l) row) pred;
   let dom, value_idx = compute_domain values in
   {
     values = Array.copy values;
@@ -207,7 +198,6 @@ let build ~values ~edges =
     labels;
     label_index;
     succ;
-    pred;
     edge_list = List.rev interned;
     edges_resolved = List.map (fun (u, a, v) -> (u, labels.(a), v)) interned;
     num_edges = List.length interned;
@@ -312,15 +302,7 @@ let add_edge g u a v =
       s.(u) <- Array.copy s.(u);
       s)
   in
-  let pred =
-    if fresh_label then Array.map grow g.pred
-    else (
-      let p = Array.copy g.pred in
-      p.(v) <- Array.copy p.(v);
-      p)
-  in
   succ.(u).(lbl) <- List.sort compare (v :: succ.(u).(lbl));
-  pred.(v).(lbl) <- List.sort compare (u :: pred.(v).(lbl));
   let adj_cache =
     match Atomic.get g.adj_cache with
     | None -> Atomic.make None
@@ -365,7 +347,6 @@ let add_edge g u a v =
       labels;
       label_index;
       succ;
-      pred;
       edge_list = g.edge_list @ [ (u, lbl, v) ];
       edges_resolved = g.edges_resolved @ [ (u, a, v) ];
       num_edges = g.num_edges + 1;
@@ -386,9 +367,6 @@ let remove_edge g u a v =
   let succ = Array.copy g.succ in
   succ.(u) <- Array.copy succ.(u);
   succ.(u).(lbl) <- List.filter (fun x -> x <> v) succ.(u).(lbl);
-  let pred = Array.copy g.pred in
-  pred.(v) <- Array.copy pred.(v);
-  pred.(v).(lbl) <- List.filter (fun x -> x <> u) pred.(v).(lbl);
   let adj_cache =
     match Atomic.get g.adj_cache with
     | None -> Atomic.make None
@@ -425,7 +403,6 @@ let remove_edge g u a v =
     {
       g with
       succ;
-      pred;
       edge_list = drop_id g.edge_list;
       edges_resolved = drop_resolved g.edges_resolved;
       num_edges = g.num_edges - 1;
@@ -446,7 +423,6 @@ let add_node g nm value =
   (* Outer arrays are copied by append; inner rows stay shared (the new
      node has no edges, so no row is mutated). *)
   let succ = Array.append g.succ [| Array.make nl [] |] in
-  let pred = Array.append g.pred [| Array.make nl [] |] in
   let domain, value_idx = compute_domain values in
   (* The matrices are n-by-n; growing a row's width cannot share words
      with the parent, so caches restart empty and rebuild lazily — for
@@ -458,7 +434,6 @@ let add_node g nm value =
       names;
       name_index;
       succ;
-      pred;
       domain;
       value_idx;
       uid = fresh_uid ();
@@ -474,9 +449,6 @@ let is_path g p =
     | (a, v) :: rest -> mem_edge g u a v && go v rest
   in
   go p.start p.steps
-
-let path_end p =
-  match List.rev p.steps with [] -> p.start | (_, v) :: _ -> v
 
 let data_path_of g p =
   if not (is_path g p) then invalid_arg "Data_graph.data_path_of: not a path";
@@ -512,8 +484,6 @@ let connects g w =
     if i >= m then frontier else go (step frontier i) (i + 1)
   in
   go start 0
-
-let connects_pair g w u v = List.mem (u, v) (connects g w)
 
 let map_values f g =
   build

@@ -59,8 +59,6 @@ val delta : t -> int
 val value_index : t -> node -> int
 (** Index of [ρ(v)] within [domain g]: a dense id in [0 .. delta g - 1]. *)
 
-val nodes_with_value : t -> Data_value.t -> node list
-
 (** {1 Alphabet and edges} *)
 
 val alphabet : t -> label list
@@ -95,9 +93,6 @@ val succ_id : t -> node -> int -> node list
 val succ_all : t -> node -> (int * node) list
 (** All outgoing edges of a node as (label id, target) pairs. *)
 
-val pred_id : t -> node -> int -> node list
-(** Sources of [a]-labeled edges into a node, by dense label id. *)
-
 (** {1 Paths} *)
 
 type path = { start : node; steps : (label * node) list }
@@ -106,8 +101,6 @@ type path = { start : node; steps : (label * node) list }
 val is_path : t -> path -> bool
 (** Are all steps edges of the graph? *)
 
-val path_end : path -> node
-
 val data_path_of : t -> path -> Data_path.t
 (** The data path [w_ξ] of a path [ξ]: replace every node by its data value.
     @raise Invalid_argument if [ξ] is not a path of [g]. *)
@@ -115,8 +108,6 @@ val data_path_of : t -> path -> Data_path.t
 val connects : t -> Data_path.t -> (node * node) list
 (** [connects g w] lists all pairs [(u, v)] such that [u -w-> v], i.e. some
     path of [g] from [u] to [v] has data path exactly [w]. *)
-
-val connects_pair : t -> Data_path.t -> node -> node -> bool
 
 (** {1 Transformations} *)
 

@@ -77,16 +77,3 @@ let profile w =
   prof
 
 let automorphic w1 w2 = w1.labels = w2.labels && profile w1 = profile w2
-
-let distinct_values w =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  Array.iter
-    (fun d ->
-      let k = Data_value.to_int d in
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
-        acc := d :: !acc
-      end)
-    w.values;
-  List.rev !acc

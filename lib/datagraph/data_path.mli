@@ -68,6 +68,3 @@ val automorphic : t -> t -> bool
 (** [automorphic w1 w2] is true iff some automorphism [π] of [D] has
     [π(w1) = w2], i.e. the paths agree on letters and on the (in)equality
     pattern of their data values (Definition 9, Fact 10). *)
-
-val distinct_values : t -> Data_value.t list
-(** Distinct data values in order of first occurrence. *)

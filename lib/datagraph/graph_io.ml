@@ -25,7 +25,6 @@ let tuples_to_string g r =
     r;
   Buffer.contents buf
 
-let relation_to_string g r = tuples_to_string g (Tuple_relation.of_binary r)
 let instance_to_string g r = graph_to_string g ^ tuples_to_string g r
 
 type line =
@@ -133,20 +132,6 @@ let graph_of_string text =
       let nodes, edges, tuples = split_items items in
       if tuples <> [] then Error "unexpected pair/tuple line in graph"
       else build_graph nodes edges)
-
-let relation_of_string g text =
-  match parse_lines text with
-  | Error _ as e -> e
-  | Ok items -> (
-      let nodes, edges, tuples = split_items items in
-      if nodes <> [] || edges <> [] then
-        Error "unexpected node/edge line in relation"
-      else
-        match resolve_tuples g tuples with
-        | Error _ as e -> e
-        | Ok rel ->
-            if Tuple_relation.arity rel <> 2 then Error "relation is not binary"
-            else Ok (Tuple_relation.to_binary rel))
 
 let to_dot ?relation g =
   let buf = Buffer.create 512 in

@@ -13,7 +13,6 @@
     must have the same arity. *)
 
 val graph_to_string : Data_graph.t -> string
-val relation_to_string : Data_graph.t -> Relation.t -> string
 val tuples_to_string : Data_graph.t -> Tuple_relation.t -> string
 
 val instance_to_string : Data_graph.t -> Tuple_relation.t -> string
@@ -26,10 +25,6 @@ val instance_of_string :
   string -> (Data_graph.t * Tuple_relation.t, string) result
 (** Parses a whole instance.  An instance without [pair]/[tuple] lines has
     an empty binary relation. *)
-
-val relation_of_string :
-  Data_graph.t -> string -> (Relation.t, string) result
-(** Parses [pair] lines against an existing graph's node names. *)
 
 val to_dot : ?relation:Tuple_relation.t -> Data_graph.t -> string
 (** A Graphviz rendering of the graph: nodes labeled [name:value], edge

@@ -7,8 +7,6 @@ type expr =
 
 type lang = [ `Rpq | `Rem | `Ree ]
 
-let lang_of = function Rpq _ -> `Rpq | Rem _ -> `Rem | Ree _ -> `Ree
-
 let eval g = function
   | Rpq e -> Regexp.Nfa.eval_on_graph g (Regexp.Nfa.of_regex e)
   | Rem e ->

@@ -11,8 +11,6 @@ type expr =
 
 type lang = [ `Rpq | `Rem | `Ree ]
 
-val lang_of : expr -> lang
-
 val eval : Datagraph.Data_graph.t -> expr -> Datagraph.Relation.t
 (** [Q(G)] — RPQs by NFA/graph product, RDPQ_mem by register-automaton/
     graph product, RDPQ_= via the REE→REM embedding. *)

@@ -170,8 +170,6 @@ let eval_on_graph g a =
   done;
   Datagraph.Relation.of_list n !pairs
 
-let intersect_graph_nonempty g a ~src ~dst = (eval_from a g src).(dst)
-
 (* Letters appearing on transitions. *)
 let letters a =
   Array.to_list a.trans |> List.concat_map (List.map fst)

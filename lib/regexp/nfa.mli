@@ -32,7 +32,3 @@ val eval_on_graph : Datagraph.Data_graph.t -> t -> Datagraph.Relation.t
     standard regular expressions): all pairs [(u, v)] such that the label
     word of some path from [u] to [v] is accepted.  Computed by
     reachability in the product of the graph with the automaton. *)
-
-val intersect_graph_nonempty :
-  Datagraph.Data_graph.t -> t -> src:int -> dst:int -> bool
-(** Does some path from [src] to [dst] carry an accepted label word? *)

@@ -66,11 +66,6 @@ let of_complete_type ty =
   conj
     (List.init (Array.length ty) (fun i -> if ty.(i) then Eq i else Neq i))
 
-let type_of_state ~d ~assignment =
-  Array.map
-    (function Some e -> Data_value.equal e d | None -> false)
-    assignment
-
 let equal = ( = )
 
 (* [r<i+1>], digit by digit: [string_of_int] goes through the C

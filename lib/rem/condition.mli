@@ -44,10 +44,6 @@ val complete_types : k:int -> t -> bool array list
 val of_complete_type : bool array -> t
 (** The conjunction pinning every register to its value in the type. *)
 
-val type_of_state :
-  d:Datagraph.Data_value.t -> assignment:Datagraph.Data_value.t option array -> bool array
-(** The unique complete type realized by a value and an assignment. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

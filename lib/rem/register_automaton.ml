@@ -152,8 +152,6 @@ let eval_on_graph g a =
   done;
   Relation.of_list n !pairs
 
-let accepts_nonempty_on_graph g a ~src ~dst = (eval_from a g src).(dst)
-
 (* Emptiness over the bounded value pool {0..k}: a fresh value is always
    available because at most k values are stored, so every reachable
    configuration is realizable with these values (the bounded-data

@@ -41,9 +41,6 @@ val eval_on_graph : Datagraph.Data_graph.t -> t -> Datagraph.Relation.t
     such that some data path from [u] to [v] is accepted.  Reachability
     over configurations [(state, node, σ)] with σ over [D_G ∪ ⊥]. *)
 
-val accepts_nonempty_on_graph :
-  Datagraph.Data_graph.t -> t -> src:int -> dst:int -> bool
-
 val is_empty : t -> bool
 (** Is [L(A)] empty?  Decidable because register contents can only be
     data values read earlier: along any run, what matters about the next

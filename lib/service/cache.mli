@@ -190,11 +190,6 @@ val apply_edit :
     a mismatch is safe (the fallback recomputes in the given language)
     but wastes the fast path. *)
 
-val intern_graph : t -> Datagraph.Data_graph.t -> Datagraph.Data_graph.t
-(** The interned twin of the graph (inserting it if new): the canonical
-    carrier of the per-graph artifacts.  Exposed for tests and for the
-    server's batch path. *)
-
 val insert :
   t ->
   ?k:int ->

@@ -115,13 +115,6 @@ val create :
 val address : t -> Wire.address
 val shard_names : t -> string list
 
-val shard_of_digest : t -> string -> string
-(** Current placement of a digest that may be chained (chained-digest
-    map first, then the ring), as [delta] and {!rebalance} place — exposed
-    for tests and the CLI banner.  [decide] and [batch] place their
-    instance digests on the ring directly: an instance digest is never a
-    chained one. *)
-
 val rebalance : t -> ?limit:int -> unit -> (int, string) result
 (** One warm-transfer sweep: export up to [limit] (default 64) hot
     entries from every shard, re-import the misplaced ones onto their

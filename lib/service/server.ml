@@ -237,7 +237,7 @@ let observe t =
 
 (* [stats] names: drop a leading [service.], then '.' becomes '_' —
    [service.cache.verdict_hits] is [cache_verdict_hits],
-   [pool.steal_success] is [pool_steal_success]. *)
+   [pool.submitted] is [pool_submitted]. *)
 let stat_key name =
   let name =
     if String.starts_with ~prefix:"service." name then

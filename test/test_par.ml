@@ -117,114 +117,7 @@ let test_pool_size_env () =
   with_pool_size 3 @@ fun () ->
   Alcotest.(check int) "set_size takes effect" 3 (Pool.size ())
 
-(* ---------- work-stealing deque ---------- *)
-
-module Deque = Par.Deque
-
-let test_deque_lifo () =
-  let q = Deque.create () in
-  for i = 1 to 5 do
-    Deque.push q i
-  done;
-  Alcotest.(check int) "length" 5 (Deque.length q);
-  List.iter
-    (fun expect ->
-      Alcotest.(check (option int)) "owner pops LIFO" (Some expect) (Deque.pop q))
-    [ 5; 4; 3; 2; 1 ];
-  Alcotest.(check (option int)) "then empty" None (Deque.pop q);
-  Alcotest.(check (option int)) "stays empty" None (Deque.pop q)
-
-let steal_opt q =
-  match Deque.steal q with `Stolen v -> Some v | `Empty | `Retry -> None
-
-let test_deque_fifo_steals () =
-  let q = Deque.create () in
-  for i = 1 to 5 do
-    Deque.push q i
-  done;
-  List.iter
-    (fun expect ->
-      Alcotest.(check (option int)) "thief steals FIFO" (Some expect)
-        (steal_opt q))
-    [ 1; 2; 3; 4; 5 ];
-  (match Deque.steal q with
-  | `Empty -> ()
-  | `Stolen _ | `Retry -> Alcotest.fail "steal from empty must report `Empty");
-  (* Opposite ends meet in the middle. *)
-  for i = 1 to 6 do
-    Deque.push q (10 + i)
-  done;
-  Alcotest.(check (option int)) "steal oldest" (Some 11) (steal_opt q);
-  Alcotest.(check (option int)) "pop newest" (Some 16) (Deque.pop q);
-  Alcotest.(check (option int)) "steal next" (Some 12) (steal_opt q);
-  Alcotest.(check (option int)) "pop next" (Some 15) (Deque.pop q);
-  Alcotest.(check int) "two left" 2 (Deque.length q)
-
-let test_deque_growth () =
-  (* Start at the minimum capacity and push far past it: growth must
-     preserve order and lose nothing, from both ends. *)
-  let q = Deque.create ~capacity:1 () in
-  for i = 0 to 999 do
-    Deque.push q i
-  done;
-  for i = 0 to 499 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "steal %d after growth" i)
-      (Some i) (steal_opt q)
-  done;
-  for i = 999 downto 500 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "pop %d after growth" i)
-      (Some i) (Deque.pop q)
-  done;
-  Alcotest.(check (option int)) "drained" None (Deque.pop q)
-
-let test_deque_empty_races () =
-  (* One owner domain pushes [n] values and pops aggressively; three
-     thieves hammer [steal] the whole time, racing the owner for the
-     last element over and over.  Every value must be delivered exactly
-     once, across all participants. *)
-  let n = 20_000 in
-  let q = Deque.create ~capacity:2 () in
-  let seen = Array.init n (fun _ -> Atomic.make 0) in
-  let stop = Atomic.make false in
-  let thieves =
-    Array.init 3 (fun _ ->
-        Domain.spawn (fun () ->
-            let continue_ = ref true in
-            while !continue_ do
-              match Deque.steal q with
-              | `Stolen v -> Atomic.incr seen.(v)
-              | `Retry -> Domain.cpu_relax ()
-              | `Empty ->
-                  if Atomic.get stop then continue_ := false
-                  else Domain.cpu_relax ()
-            done))
-  in
-  for i = 0 to n - 1 do
-    Deque.push q i;
-    (* Pop in bursts so the owner keeps racing thieves at b = t. *)
-    if i mod 3 = 0 then
-      match Deque.pop q with Some v -> Atomic.incr seen.(v) | None -> ()
-  done;
-  let rec drain () =
-    match Deque.pop q with
-    | Some v ->
-        Atomic.incr seen.(v);
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set stop true;
-  Array.iter Domain.join thieves;
-  Array.iteri
-    (fun i c ->
-      let c = Atomic.get c in
-      if c <> 1 then
-        Alcotest.failf "value %d delivered %d times (want exactly once)" i c)
-    seen
-
-(* ---------- steal-path determinism under skewed costs ---------- *)
+(* ---------- determinism under skewed costs ---------- *)
 
 (* A spin that the compiler cannot elide: data-dependent accumulator. *)
 let burn units =
@@ -235,7 +128,7 @@ let burn units =
   !acc
 
 (* Task sets with one pathologically heavy subtree: the heavy task pins
-   whoever claims it while the others get stolen around it, maximally
+   whoever claims it while the others are served around it, maximally
    exercising uneven-split scheduling.  Results (and hence their order)
    must not depend on pool size or on the run. *)
 let qcheck_skewed_tasks =
@@ -326,18 +219,43 @@ let test_submit_order_and_errors () =
   | exception Failure msg ->
       Alcotest.(check string) "lowest-index exception wins" "sub 3" msg
 
-let test_submit_counts_steals () =
-  with_pool_size 4 @@ fun () ->
-  let before = pool_stat "steal_success" in
-  ignore (Pool.submit (Array.init 8 (fun i () -> burn (i + 1))));
-  let after = pool_stat "steal_success" in
-  (* The submitter does not participate, so every one of the 8 tasks was
-     necessarily a steal. *)
+(* Four system threads each submit 50 batches while the main thread
+   maps: both entry points share the one queue at once.  Every result
+   must come back in input order and every batch must finish. *)
+let test_submit_beside_map () =
+  List.iter
+    (fun size ->
+      with_pool_size size @@ fun () ->
+      let bad = Atomic.make 0 in
+      let submitter t () =
+        for b = 1 to 50 do
+          let n = 1 + ((t + b) mod 7) in
+          let want = Array.init n (fun i -> (t * 1000) + (b * 10) + i) in
+          let got =
+            Pool.submit (Array.map (fun v () -> ignore (burn 1); v) want)
+          in
+          if got <> want then Atomic.incr bad
+        done
+      in
+      let threads = List.init 4 (fun t -> Thread.create (submitter t) ()) in
+      let input = Array.init 64 Fun.id in
+      for _ = 1 to 50 do
+        if Pool.map (fun x -> ignore (burn 1); x * 2) input
+           <> Array.map (fun x -> x * 2) input
+        then Atomic.incr bad
+      done;
+      List.iter Thread.join threads;
+      Alcotest.(check int)
+        (Printf.sprintf "out-of-order batches at pool size %d" size)
+        0 (Atomic.get bad))
+    [ 2; 4; 8 ];
+  with_pool_size 8 @@ fun () ->
+  ignore (Pool.submit (Array.init 8 (fun i () -> i)));
+  let cap = max 1 (Domain.recommended_domain_count ()) in
   Alcotest.(check bool)
-    (Printf.sprintf "steal_success grew by >= 8 (before %d, after %d)" before
-       after)
+    (Printf.sprintf "workers %d <= %d cores" (pool_stat "workers") cap)
     true
-    (after - before >= 8)
+    (pool_stat "workers" <= cap)
 
 let test_nested_inline_counter () =
   with_pool_size 4 @@ fun () ->
@@ -470,7 +388,7 @@ let test_decider_agreement () =
           in
           List.iter
             (fun size ->
-              (* Twice per size: steal order varies between runs and must
+              (* Twice per size: scheduling varies between runs and must
                  not leak into the verdict. *)
               List.iter
                 (fun run ->
@@ -778,16 +696,16 @@ let test_decide_batch_budgets () =
       | Error msg -> Alcotest.fail msg)
     results
 
-(* The pool parallelizes requests only: a kernel called on its own pushes
-   no pool task at any pool size, and a batch pushes one task per chunk
+(* The pool parallelizes requests only: a kernel called on its own queues
+   no pool task at any pool size, and a batch queues one task per chunk
    of instances, whichever domain ends up running each. *)
 let test_kernel_pushes_nothing () =
   with_pool_size 2 @@ fun () ->
   let g, s = thm35_all_clauses () in
-  let before = pool_stat "deque_push" in
+  let before = pool_stat "submitted" in
   Alcotest.(check string) "unlimited-fuel search on the main domain"
     "preserved nodes=33" (hom_repr (Hom.search_violating g s));
-  Alcotest.(check int) "deque_push unchanged" before (pool_stat "deque_push")
+  Alcotest.(check int) "submitted unchanged" before (pool_stat "submitted")
 
 let test_decide_batch_pushes_chunks () =
   with_pool_size 2 @@ fun () ->
@@ -800,12 +718,12 @@ let test_decide_batch_pushes_chunks () =
         in
         Instance.create_exn g s)
   in
-  let before = pool_stat "deque_push" in
+  let before = pool_stat "submitted" in
   List.iter
     (function Ok _ -> () | Error msg -> Alcotest.fail msg)
     (Registry.decide_batch ~lang:"ucrdpq" insts);
   (* 16 instances at size 2: chunks of 1 + 15 / 8 = 2, so 8 tasks. *)
-  Alcotest.(check int) "one push per chunk" 8 (pool_stat "deque_push" - before)
+  Alcotest.(check int) "one task per chunk" 8 (pool_stat "submitted" - before)
 
 let test_decide_batch_unknown_lang () =
   let inst = Instance.of_binary fig1 s1 in
@@ -825,14 +743,6 @@ let () =
           Alcotest.test_case "nesting" `Quick test_pool_nesting;
           Alcotest.test_case "sizing" `Quick test_pool_size_env;
         ] );
-      ( "deque",
-        [
-          Alcotest.test_case "owner ops are LIFO" `Quick test_deque_lifo;
-          Alcotest.test_case "steals are FIFO" `Quick test_deque_fifo_steals;
-          Alcotest.test_case "growth preserves order" `Quick test_deque_growth;
-          Alcotest.test_case "empty races deliver exactly once" `Quick
-            test_deque_empty_races;
-        ] );
       ( "stealing",
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_skewed_tasks; qcheck_skewed_deciders ] );
@@ -841,8 +751,8 @@ let () =
           Alcotest.test_case "in_pool signal" `Quick test_in_pool;
           Alcotest.test_case "order and errors" `Quick
             test_submit_order_and_errors;
-          Alcotest.test_case "all submitted tasks are steals" `Quick
-            test_submit_counts_steals;
+          Alcotest.test_case "threads submit beside a map" `Quick
+            test_submit_beside_map;
           Alcotest.test_case "nested inline is counted" `Quick
             test_nested_inline_counter;
           Alcotest.test_case "size one runs inline" `Quick
