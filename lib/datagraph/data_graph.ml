@@ -153,12 +153,57 @@ let compute_domain values =
   in
   (dom, value_idx)
 
-let build ~values ~edges =
+(* The one constructor under [build], [make] and [of_resolved]: [edges]
+   are (source, label id, target) in input order.  A duplicate edge
+   shows up as two equal neighbours in its sorted successor list. *)
+let assemble ~names ~name_index ~values ~labels ~label_index ~edges =
   let n = Array.length values in
-  let names = Array.init n (fun i -> "v" ^ string_of_int i) in
-  let name_index = Hashtbl.create (max 1 n) in
-  Array.iteri (fun i s -> Hashtbl.add name_index s i) names;
-  (* Intern labels in first-occurrence order. *)
+  let nl = Array.length labels in
+  let succ = Array.init n (fun _ -> Array.make nl []) in
+  let num_edges = ref 0 in
+  List.iter
+    (fun (u, a, v) ->
+      succ.(u).(a) <- v :: succ.(u).(a);
+      incr num_edges)
+    edges;
+  let rec distinct = function
+    | x :: (y :: _ as rest) ->
+        if x = y then invalid_arg "Data_graph.build: duplicate edge";
+        distinct rest
+    | _ -> ()
+  in
+  Array.iter
+    (fun row ->
+      Array.iteri
+        (fun a l ->
+          match l with
+          | [] | [ _ ] -> ()
+          | _ ->
+              let l = List.sort Int.compare l in
+              distinct l;
+              row.(a) <- l)
+        row)
+    succ;
+  let dom, value_idx = compute_domain values in
+  {
+    values = Array.copy values;
+    names;
+    name_index;
+    labels;
+    label_index;
+    succ;
+    edge_list = List.rev edges;
+    edges_resolved = List.map (fun (u, a, v) -> (u, labels.(a), v)) edges;
+    num_edges = !num_edges;
+    domain = dom;
+    value_idx;
+    uid = 1 + Atomic.fetch_and_add uid_counter 1;
+    adj_cache = Atomic.make None;
+    reach_cache = Atomic.make None;
+  }
+
+(* Intern labels in first-occurrence order. *)
+let intern_labels ~n edges =
   let label_index = Hashtbl.create 8 in
   let labels_rev = ref [] in
   let intern a =
@@ -178,35 +223,15 @@ let build ~values ~edges =
         (u, intern a, v))
       edges
   in
-  let labels = Array.of_list (List.rev !labels_rev) in
-  let nl = Array.length labels in
-  let succ = Array.init n (fun _ -> Array.make nl []) in
-  let seen = Hashtbl.create (max 1 (List.length interned)) in
-  List.iter
-    (fun (u, a, v) ->
-      if Hashtbl.mem seen (u, a, v) then
-        invalid_arg "Data_graph.build: duplicate edge";
-      Hashtbl.add seen (u, a, v) ();
-      succ.(u).(a) <- v :: succ.(u).(a))
-    interned;
-  Array.iter (fun row -> Array.iteri (fun a l -> row.(a) <- List.sort compare l) row) succ;
-  let dom, value_idx = compute_domain values in
-  {
-    values = Array.copy values;
-    names;
-    name_index;
-    labels;
-    label_index;
-    succ;
-    edge_list = List.rev interned;
-    edges_resolved = List.map (fun (u, a, v) -> (u, labels.(a), v)) interned;
-    num_edges = List.length interned;
-    domain = dom;
-    value_idx;
-    uid = 1 + Atomic.fetch_and_add uid_counter 1;
-    adj_cache = Atomic.make None;
-    reach_cache = Atomic.make None;
-  }
+  (Array.of_list (List.rev !labels_rev), label_index, interned)
+
+let build ~values ~edges =
+  let n = Array.length values in
+  let names = Array.init n (fun i -> "v" ^ string_of_int i) in
+  let name_index = Hashtbl.create (max 1 n) in
+  Array.iteri (fun i s -> Hashtbl.add name_index s i) names;
+  let labels, label_index, edges = intern_labels ~n edges in
+  assemble ~names ~name_index ~values ~labels ~label_index ~edges
 
 let make ~nodes ~edges =
   let names = Array.of_list (List.map fst nodes) in
@@ -223,13 +248,24 @@ let make ~nodes ~edges =
     | Some i -> i
     | None -> invalid_arg ("Data_graph.make: unknown node " ^ s)
   in
-  let edges = List.map (fun (u, a, v) -> (resolve u, a, resolve v)) edges in
-  let g = build ~values ~edges in
-  (* [build] assigned default names; overwrite with the requested ones. *)
-  Array.blit names 0 g.names 0 (Array.length names);
-  Hashtbl.reset g.name_index;
-  Array.iteri (fun i s -> Hashtbl.add g.name_index s i) g.names;
-  g
+  (* The target first, then the source: an edge with two unknown
+     endpoints names its target. *)
+  let edges =
+    List.map
+      (fun (u, a, v) ->
+        let v = resolve v in
+        (resolve u, a, v))
+      edges
+  in
+  let labels, label_index, edges = intern_labels ~n:(Array.length values) edges in
+  assemble ~names ~name_index ~values ~labels ~label_index ~edges
+
+let of_resolved ~names ~values ~labels ~edges =
+  let name_index = Hashtbl.create (max 1 (Array.length names)) in
+  Array.iteri (fun i s -> Hashtbl.add name_index s i) names;
+  let label_index = Hashtbl.create 8 in
+  Array.iteri (fun i a -> Hashtbl.add label_index a i) labels;
+  assemble ~names ~name_index ~values ~labels ~label_index ~edges
 
 (* ------------------------------------------------------------------ *)
 (* Incremental edits.                                                  *)

@@ -27,6 +27,21 @@ val build :
   values:Data_value.t array -> edges:(node * label * node) list -> t
 (** Index-based constructor; node [i] is named ["v<i>"]. *)
 
+val of_resolved :
+  names:string array ->
+  values:Data_value.t array ->
+  labels:label array ->
+  edges:(node * int * node) list ->
+  t
+(** The constructor under {!make}, for a caller that has resolved names
+    itself (the instance parser): [edges] are (source, label id, target)
+    in input order, label ids index [labels], and [labels] lists each
+    label once, in the order of the first edge that carries it.  The
+    graph is the one {!make} builds from the same nodes and edges.
+    [names] must be distinct and the endpoints in range; neither is
+    checked.
+    @raise Invalid_argument on a duplicate edge. *)
+
 (** {1 Basic accessors} *)
 
 val size : t -> int

@@ -27,27 +27,46 @@ let is_hom g h =
 let identity g = Array.init (Data_graph.size g) Fun.id
 
 (* ------------------------------------------------------------------ *)
-(* CSP machinery.  Domains are bitsets with a maintained cardinality;
-   constraints are the edge constraints (h(u),h(v)) ∈ E_a and the data
-   constraints same_value(h(p),h(q)) = same_value(p,q) for reachable
-   (p,q).  Both are binary, so AC-3 applies uniformly.  A support check
-   is one word-parallel row-AND ([Bitset.disjoint] of a constraint row
-   with the neighbour domain), and every domain removal is recorded on
-   a trail so backtracking undoes exactly the removals of the abandoned
-   subtree instead of copying all domains at every branch node.         *)
+(* CSP machinery.  Both conditions of Definition 33 are binary
+   constraints over node images: the edge constraints (h(u),h(v)) ∈ E_a
+   and the data constraints same_value(h(p),h(q)) = same_value(p,q) for
+   reachable (p,q).  A constraint is never tabulated: the row of a value
+   b under it is the intersection of b's successor (or predecessor) row
+   under each of its labels with b's same-class (or other-class) row, all
+   of them word rows of the graph.  Each constraint is two directed arcs,
+   and revising the arc (x ← y) is
 
-type domain = { bits : Bitset.t; mutable card : int }
+     dom x ∧= ⋃_{b ∈ dom y} (∩_labels row b ∧ data row b),
+
+   |dom y| row reads of a few words, stopping as soon as the union
+   covers dom x — so a revise gets cheaper as the domains shrink.
+   Domains are flat words, n·w for n variables of w words each; every
+   changed word is recorded on a trail so backtracking undoes exactly the
+   changes of the abandoned subtree instead of copying all domains at
+   every branch node. *)
 
 type csp = {
   n : int;
-  (* Binary constraints as (u, v, allowed, allowedᵀ); rows of [allowed]
-     index u-values, rows of the transpose index v-values.  The tables
-     are shared: every variable pair with the same edge labels and the
-     same data kind points at one matrix pair, and tables are read-only
-     once built, so the domains that search one CSP share them too. *)
-  constraints : (int * int * Bitmatrix.t * Bitmatrix.t) array;
-  (* For each variable, indices of constraints mentioning it. *)
-  incident : int list array;
+  w : int;  (* words per row and per domain *)
+  (* Tables of n rows of [w] words, flat and read-only once built:
+     label l's successor rows at [l], its predecessor rows at [nl + l],
+     then the same-class and the other-class rows. *)
+  tables : int array array;
+  (* Arc [a < arcs] revises variable [arc_x.(a)] against the support
+     variable [arc_y.(a)], intersecting the rows of the tables
+     [arc_tab.(arc_first.(a))] up to [arc_tab.(arc_first.(a + 1) - 1)].
+     Arcs come in pairs: [a] and [a lxor 1] are the two directions of
+     one constraint.  The arrays are sized for the most arcs the graph
+     could have, so they may run past [arcs]. *)
+  arcs : int;
+  arc_x : int array;
+  arc_y : int array;
+  arc_first : int array;
+  arc_tab : int array;
+  (* The arcs whose support variable is [y]: [support.(sup_start.(y))]
+     up to [sup_start.(y + 1)] — the arcs to requeue when dom y shrinks. *)
+  sup_start : int array;
+  support : int array;
   (* Root domains after the initial arc-consistency pass — a pure
      function of the CSP, computed once and copied into each search.
      [Root_unknown] = not yet computed; [Root_wiped] = wiped out (no
@@ -55,144 +74,188 @@ type csp = {
      Atomic because a CSP handle is shared across domains (the cache
      below is keyed by graph uid): racing domains compute identical
      templates and the CAS loser adopts the winner's, which publishes
-     the template's bitsets with a proper happens-before edge. *)
+     the template with a proper happens-before edge. *)
   root : root Atomic.t;
 }
 
-and root = Root_unknown | Root_wiped | Root_doms of domain array
+and root = Root_unknown | Root_wiped | Root_doms of doms
+
+(* Variable [x] owns [words.(x*w) .. words.(x*w + w - 1)]; [card.(x)] is
+   its cardinality. *)
+and doms = { words : int array; card : int array }
 
 type state = {
-  doms : domain array;
-  (* Removals, packed as var * n + value. *)
+  doms : doms;
+  (* Changed words, packed as pairs (index into [doms.words], old word). *)
   mutable trail : int array;
   mutable trail_len : int;
-  (* AC-3 worklist, shared across all branch nodes of one search.  The
-     drain loop restores [enqueued] to all-false before returning (or on
-     Wipeout), so no per-propagation allocation is needed. *)
-  mutable work : int array;
+  (* Arc worklist, shared across all branch nodes of one search; every
+     arc is queued at most once, so it never grows.  The drain loop
+     restores [enqueued] to all-false before returning (or on Wipeout),
+     so no per-propagation allocation is needed. *)
+  work : int array;
   mutable work_len : int;
   enqueued : bool array;
+  (* The union being built by [revise]. *)
+  acc : int array;
 }
 
-(* What a reachable pair {p, q}, p ≠ q, asks of its images: the same
-   data value or distinct ones.  Pairs that are not reachable either
-   way (and self-loops) ask nothing. *)
-type data_kind = No_data | Same | Diff
+let bpw = Bitset.bits_per_word
 
-(* The label ids of an ordered pair (u, v) that carries edges, and the
-   data kind merged into its table. *)
-type edge_pair = { mutable labels : int list; mutable data : data_kind }
+(* Rows of [n] bits, [w] words each, flat. *)
+let row_table n w = Array.make (n * w) 0
 
-(* The constraint of a variable pair is the intersection of the
-   adjacency matrices of its edge labels and of its data matrix, so it
-   depends only on (label set, data kind).  A graph has far more
-   constrained pairs than distinct such keys (a 56-node Figure 3 graph
-   has 366 edge pairs but 16 keys), so each key's table, its transpose and
-   its never-prunes test are computed once and shared by every pair that
-   carries the key. *)
+let set_bit t w r c =
+  let i = (r * w) + (c / bpw) in
+  t.(i) <- t.(i) lor (1 lsl (c mod bpw))
+
+(* An int array filled from the front, sized for the most it will
+   hold. *)
+type vec = { a : int array; mutable len : int }
+
+let vec cap = { a = Array.make cap 0; len = 0 }
+
+let push v x =
+  v.a.(v.len) <- x;
+  v.len <- v.len + 1
+
+(* The arcs of a graph's CSP:
+   - every ordered pair (u, v) carrying edges is one constraint: the
+     values of u need an image with an edge of every one of the pair's
+     labels to an image of v (the rows of u's arc are the labels'
+     predecessor rows, those of v's arc their successor rows);
+   - every reachable pair {p, q}, p ≠ q, asks its images for the same
+     data value or distinct ones.  When the pair carries edges (either
+     way round), that class row joins each of its edge constraints;
+     otherwise it is a constraint of its own.
+   On a single-valued graph every class row is full: it is left out of
+   the edge constraints, and the data constraints, which could never
+   prune a value, are not built at all. *)
 let build_csp_uncached g =
   let n = Data_graph.size g in
-  let reach = Data_graph.reachability_matrix g in
-  let pairs : (int, edge_pair) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (u, a, v) ->
-      let l = Data_graph.label_id g a in
-      match Hashtbl.find_opt pairs ((u * n) + v) with
-      | Some e -> e.labels <- l :: e.labels
-      | None -> Hashtbl.add pairs ((u * n) + v) { labels = [ l ]; data = No_data })
-    (Data_graph.edges g);
-  (* The same-value and distinct-value matrices, one row per value
-     class.  Both are symmetric, hence their own transposes. *)
-  let classes = Array.init (Data_graph.delta g) (fun _ -> Bitset.create n) in
-  for x = 0 to n - 1 do
-    Bitset.add classes.(Data_graph.value_index g x) x
-  done;
-  let same = Bitmatrix.create n n in
-  let diff = Bitmatrix.create n n in
-  for x = 0 to n - 1 do
-    let c = classes.(Data_graph.value_index g x) in
-    Bitset.union_inplace (Bitmatrix.row same x) c;
-    let d = Bitmatrix.row diff x in
-    Bitset.fill d;
-    Bitset.diff_inplace d c
-  done;
-  (* A table whose every row is full can never prune a value; revising
-     it on every propagation is pure waste, so its pairs get no
-     constraint.  In particular, on a single-valued graph the [same]
-     matrix is full and every standalone data constraint drops out. *)
-  let never_prunes m =
-    let full = ref true in
-    for x = 0 to n - 1 do
-      if Bitset.cardinal (Bitmatrix.row m x) <> n then full := false
-    done;
-    !full
-  in
-  let tables = Hashtbl.create 32 in
-  let table labels data =
-    match Hashtbl.find_opt tables (labels, data) with
-    | Some t -> t
-    | None ->
-        let data_matrix =
-          match data with No_data -> None | Same -> Some same | Diff -> Some diff
-        in
-        let m, mt =
-          match labels with
-          | [] ->
-              let d = Option.get data_matrix in
-              (d, d)
-          | l :: rest ->
-              let m = Bitmatrix.copy (Data_graph.adjacency_matrix g l) in
-              List.iter
-                (fun l -> Bitmatrix.inter_inplace m (Data_graph.adjacency_matrix g l))
-                rest;
-              Option.iter (Bitmatrix.inter_inplace m) data_matrix;
-              (m, Bitmatrix.transpose m)
-        in
-        let t = if never_prunes m then None else Some (m, mt) in
-        Hashtbl.add tables (labels, data) t;
-        t
-  in
-  let constraints = ref [] in
-  let add u v labels data =
-    match table labels data with
-    | Some (m, mt) -> constraints := (u, v, m, mt) :: !constraints
-    | None -> ()
-  in
-  (* [revise] works both directions, so one data constraint per
-     unordered reachable pair {p, q} suffices; when the pair also carries
-     edges (either way round), the data kind joins those edge tables
-     instead of adding a second constraint on the same pair. *)
-  for p = 0 to n - 1 do
-    for q = p + 1 to n - 1 do
-      if Bitmatrix.get reach p q || Bitmatrix.get reach q p then begin
-        let kind =
-          if Data_graph.value_index g p = Data_graph.value_index g q then Same
-          else Diff
-        in
-        let merged = ref false in
-        List.iter
-          (fun key ->
-            match Hashtbl.find_opt pairs key with
-            | Some e ->
-                e.data <- kind;
-                merged := true
-            | None -> ())
-          [ (p * n) + q; (q * n) + p ];
-        if not !merged then add p q [] kind
-      end
+  let w = max 1 ((n + bpw - 1) / bpw) in
+  let nl = Data_graph.label_count g in
+  let tables = Array.init ((2 * nl) + 2) (fun _ -> row_table n w) in
+  for u = 0 to n - 1 do
+    for l = 0 to nl - 1 do
+      List.iter
+        (fun v ->
+          set_bit tables.(l) w u v;
+          set_bit tables.(nl + l) w v u)
+        (Data_graph.succ_id g u l)
     done
   done;
-  Hashtbl.iter
-    (fun key e -> add (key / n) (key mod n) (List.sort_uniq compare e.labels) e.data)
-    pairs;
-  let constraints = Array.of_list !constraints in
-  let incident = Array.make n [] in
-  Array.iteri
-    (fun ci (u, v, _, _) ->
-      incident.(u) <- ci :: incident.(u);
-      if v <> u then incident.(v) <- ci :: incident.(v))
-    constraints;
-  { n; constraints; incident; root = Atomic.make Root_unknown }
+  let data = Data_graph.delta g > 1 in
+  let same = 2 * nl and diff = (2 * nl) + 1 in
+  if data then
+    for b = 0 to n - 1 do
+      for x = 0 to n - 1 do
+        if Data_graph.value_index g x = Data_graph.value_index g b then
+          set_bit tables.(same) w b x
+        else set_bit tables.(diff) w b x
+      done
+    done;
+  let class_of p q =
+    if Data_graph.value_index g p = Data_graph.value_index g q then same else diff
+  in
+  (* At most one constraint per edge, with one row per label and a class
+     row, and one per pair of nodes. *)
+  let m = Data_graph.edge_count g in
+  let pairs = if data then n * (n - 1) else 0 in
+  let arc_x = vec ((2 * m) + pairs) and arc_y = vec ((2 * m) + pairs) in
+  let arc_first = vec ((2 * m) + pairs + 1) and arc_tab = vec ((4 * m) + pairs) in
+  let arc x y =
+    push arc_x x;
+    push arc_y y;
+    push arc_first arc_tab.len
+  in
+  (* [edged] marks the unordered pairs that carry edges.  For the
+     current source u, [stamp.(v) = u] once (u, v) has an edge; its
+     labels are [first.(v)] and then [more.(v)]. *)
+  let edged = Bytes.make (if data then n * n else 0) '\000' in
+  let stamp = Array.make n (-1) and first = Array.make n 0 and more = Array.make n [] in
+  let targets = Array.make n 0 in
+  (* The arc (x ← y) of the pair (u, v): the rows of the tables at
+     [off] + each label, and the class row. *)
+  let edge_arc u v x y off =
+    arc x y;
+    push arc_tab (off + first.(v));
+    let rec extra = function [] -> () | l :: ls -> push arc_tab (off + l); extra ls in
+    extra more.(v);
+    if data && u <> v then push arc_tab (class_of u v)
+  in
+  for u = 0 to n - 1 do
+    let k = ref 0 in
+    for l = 0 to nl - 1 do
+      List.iter
+        (fun v ->
+          if stamp.(v) = u then more.(v) <- l :: more.(v)
+          else begin
+            stamp.(v) <- u;
+            first.(v) <- l;
+            if more.(v) != [] then more.(v) <- [];
+            targets.(!k) <- v;
+            incr k
+          end)
+        (Data_graph.succ_id g u l)
+    done;
+    for i = 0 to !k - 1 do
+      let v = targets.(i) in
+      if data then begin
+        Bytes.set edged ((u * n) + v) '\001';
+        Bytes.set edged ((v * n) + u) '\001'
+      end;
+      edge_arc u v u v nl;
+      edge_arc u v v u 0
+    done
+  done;
+  if data then begin
+    let reach = Data_graph.reachability_matrix g in
+    for p = 0 to n - 1 do
+      for q = p + 1 to n - 1 do
+        if
+          Bytes.get edged ((p * n) + q) = '\000'
+          && (Bitmatrix.get reach p q || Bitmatrix.get reach q p)
+        then begin
+          let c = class_of p q in
+          arc p q;
+          push arc_tab c;
+          arc q p;
+          push arc_tab c
+        end
+      done
+    done
+  end;
+  push arc_first arc_tab.len;
+  let num_arcs = arc_x.len in
+  let sup_start = Array.make (n + 1) 0 in
+  for a = 0 to num_arcs - 1 do
+    let y = arc_y.a.(a) in
+    sup_start.(y + 1) <- sup_start.(y + 1) + 1
+  done;
+  for y = 1 to n do
+    sup_start.(y) <- sup_start.(y) + sup_start.(y - 1)
+  done;
+  let fill = Array.sub sup_start 0 n in
+  let support = Array.make num_arcs 0 in
+  for a = 0 to num_arcs - 1 do
+    let y = arc_y.a.(a) in
+    support.(fill.(y)) <- a;
+    fill.(y) <- fill.(y) + 1
+  done;
+  {
+    n;
+    w;
+    tables;
+    arcs = num_arcs;
+    arc_x = arc_x.a;
+    arc_y = arc_y.a;
+    arc_first = arc_first.a;
+    arc_tab = arc_tab.a;
+    sup_start;
+    support;
+    root = Atomic.make Root_unknown;
+  }
 
 (* The CSP is a pure function of the (immutable) graph; remember the
    most recent ones so repeated searches on the same graphs — the
@@ -267,86 +330,126 @@ let build_csp g =
 exception Wipeout
 
 let fresh_state csp doms =
+  let arcs = csp.arcs in
   {
     doms;
-    trail = Array.make (max 16 (4 * csp.n)) 0;
+    trail = Array.make (max 16 (8 * csp.n * csp.w)) 0;
     trail_len = 0;
-    work = Array.make (max 16 (Array.length csp.constraints)) 0;
+    work = Array.make (max 1 arcs) 0;
     work_len = 0;
-    enqueued = Array.make (Array.length csp.constraints) false;
+    enqueued = Array.make arcs false;
+    acc = Array.make csp.w 0;
   }
 
-let trail_push st e =
-  if st.trail_len >= Array.length st.trail then begin
-    let t = Array.make (2 * Array.length st.trail) 0 in
-    Array.blit st.trail 0 t 0 st.trail_len;
-    st.trail <- t
-  end;
-  st.trail.(st.trail_len) <- e;
-  st.trail_len <- st.trail_len + 1
-
-let dom_remove csp st var x =
-  let d = st.doms.(var) in
-  if Bitset.mem d.bits x then begin
-    Bitset.remove d.bits x;
-    d.card <- d.card - 1;
-    trail_push st ((var * csp.n) + x)
+(* Set word [i] of the domains to [v], on the trail. *)
+let set_word csp st i v =
+  let words = st.doms.words in
+  let old = words.(i) in
+  if old <> v then begin
+    if st.trail_len + 2 > Array.length st.trail then begin
+      let t = Array.make (2 * Array.length st.trail) 0 in
+      Array.blit st.trail 0 t 0 st.trail_len;
+      st.trail <- t
+    end;
+    st.trail.(st.trail_len) <- i;
+    st.trail.(st.trail_len + 1) <- old;
+    st.trail_len <- st.trail_len + 2;
+    words.(i) <- v;
+    let x = i / csp.w in
+    st.doms.card.(x) <- st.doms.card.(x) - Bitset.popcount old + Bitset.popcount v
   end
 
 let undo_to csp st mark =
+  let words = st.doms.words and card = st.doms.card in
   while st.trail_len > mark do
-    st.trail_len <- st.trail_len - 1;
-    let e = st.trail.(st.trail_len) in
-    let d = st.doms.(e / csp.n) in
-    Bitset.add d.bits (e mod csp.n);
-    d.card <- d.card + 1
+    st.trail_len <- st.trail_len - 2;
+    let i = st.trail.(st.trail_len) and old = st.trail.(st.trail_len + 1) in
+    let x = i / csp.w in
+    card.(x) <- card.(x) + Bitset.popcount old - Bitset.popcount words.(i);
+    words.(i) <- old
   done
 
-(* Revise both sides of constraint [ci]; reports which sides shrank, or
-   raises [Wipeout]. *)
-let revise csp st ci =
-  let u, v, m, mt = csp.constraints.(ci) in
-  let du = st.doms.(u) and dv = st.doms.(v) in
-  let changed_u = ref false and changed_v = ref false in
-  Bitset.iter
-    (fun x ->
-      if Bitset.disjoint (Bitmatrix.row m x) dv.bits then begin
-        dom_remove csp st u x;
-        changed_u := true
-      end)
-    du.bits;
-  Bitset.iter
-    (fun y ->
-      if Bitset.disjoint (Bitmatrix.row mt y) du.bits then begin
-        dom_remove csp st v y;
-        changed_v := true
-      end)
-    dv.bits;
-  if du.card = 0 || dv.card = 0 then raise Wipeout;
-  (u, !changed_u, v, !changed_v)
+(* [f b] for every value [b] of variable [x], ascending.  Each word is
+   read once when the iteration reaches it. *)
+let iter_dom csp doms x f =
+  for k = 0 to csp.w - 1 do
+    let word = ref doms.words.((x * csp.w) + k) in
+    while !word <> 0 do
+      let low = !word land - !word in
+      f ((k * bpw) + Bitset.popcount (low - 1));
+      word := !word lxor low
+    done
+  done
 
-let push_work st ci =
-  if not st.enqueued.(ci) then begin
-    st.enqueued.(ci) <- true;
-    if st.work_len >= Array.length st.work then begin
-      let w = Array.make (2 * Array.length st.work) 0 in
-      Array.blit st.work 0 w 0 st.work_len;
-      st.work <- w
-    end;
-    st.work.(st.work_len) <- ci;
+(* Revise arc [a]: keep the values of x that some value of y supports.
+   Reports whether dom x shrank, or raises [Wipeout]. *)
+let revise csp st a =
+  let w = csp.w and words = st.doms.words and acc = st.acc in
+  let x = csp.arc_x.(a) and y = csp.arc_y.(a) in
+  let first = csp.arc_first.(a) and last = csp.arc_first.(a + 1) - 1 in
+  let t0 = csp.tables.(csp.arc_tab.(first)) in
+  let xo = x * w in
+  Array.fill acc 0 w 0;
+  (* Does the union cover dom x yet? *)
+  let covered () =
+    let rec go k = k >= w || (words.(xo + k) land lnot acc.(k) = 0 && go (k + 1)) in
+    go 0
+  in
+  let exception Covered in
+  (try
+     for k = 0 to w - 1 do
+       let word = ref words.((y * w) + k) in
+       while !word <> 0 do
+         let low = !word land - !word in
+         let ro = ((k * bpw) + Bitset.popcount (low - 1)) * w in
+         for j = 0 to w - 1 do
+           let r = ref t0.(ro + j) in
+           for i = first + 1 to last do
+             r := !r land csp.tables.(csp.arc_tab.(i)).(ro + j)
+           done;
+           acc.(j) <- acc.(j) lor !r
+         done;
+         if covered () then raise_notrace Covered;
+         word := !word lxor low
+       done
+     done
+   with Covered -> ());
+  let before = st.doms.card.(x) in
+  for k = 0 to w - 1 do
+    set_word csp st (xo + k) (words.(xo + k) land acc.(k))
+  done;
+  let after = st.doms.card.(x) in
+  if after = 0 then raise Wipeout;
+  after < before
+
+let push_work st a =
+  if not st.enqueued.(a) then begin
+    st.enqueued.(a) <- true;
+    st.work.(st.work_len) <- a;
     st.work_len <- st.work_len + 1
   end
 
-let propagate csp st dirty =
-  List.iter (fun v -> List.iter (push_work st) csp.incident.(v)) dirty;
+(* Queue the arcs supported by [y], except [skip]. *)
+let push_supported csp st y skip =
+  for i = csp.sup_start.(y) to csp.sup_start.(y + 1) - 1 do
+    let a = csp.support.(i) in
+    if a <> skip then push_work st a
+  done
+
+(* Drain the worklist.  When dom x shrinks under arc (x ← y), the arcs
+   supported by x are requeued — except, for x ≠ y, the reverse arc
+   (y ← x): a removed value of x had no partner in dom y, so it was
+   nobody's support there. *)
+let propagate csp st =
   try
     while st.work_len > 0 do
       st.work_len <- st.work_len - 1;
-      let ci = st.work.(st.work_len) in
-      st.enqueued.(ci) <- false;
-      let u, cu, v, cv = revise csp st ci in
-      if cu then List.iter (push_work st) csp.incident.(u);
-      if cv then List.iter (push_work st) csp.incident.(v)
+      let a = st.work.(st.work_len) in
+      st.enqueued.(a) <- false;
+      if revise csp st a then begin
+        let x = csp.arc_x.(a) in
+        push_supported csp st x (if x = csp.arc_y.(a) then -1 else a lxor 1)
+      end
     done
   with Wipeout ->
     (* Restore the worklist invariant before unwinding. *)
@@ -355,11 +458,6 @@ let propagate csp st dirty =
       st.enqueued.(st.work.(st.work_len)) <- false
     done;
     raise Wipeout
-
-let dom_first d =
-  match Bitset.first d.bits with
-  | Some x -> x
-  | None -> raise Wipeout
 
 (* Arc-consistent root domains: a pure function of the CSP, so computed
    once and copied into each search instead of re-propagating all
@@ -376,13 +474,24 @@ let root_doms csp =
       None
   | Root_unknown -> (
       Obs.Counter.incr c_root_misses;
-      let doms =
-        Array.init csp.n (fun _ -> { bits = Bitset.full csp.n; card = csp.n })
-      in
+      (* Full domains: word k holds the values k·bpw .. k·bpw + bpw - 1
+         that are below n. *)
+      let words = Array.make (csp.n * csp.w) 0 in
+      for x = 0 to csp.n - 1 do
+        for k = 0 to csp.w - 1 do
+          let bits = csp.n - (k * bpw) in
+          words.((x * csp.w) + k) <- (if bits >= bpw then -1 else (1 lsl bits) - 1)
+        done
+      done;
+      let doms = { words; card = Array.make csp.n csp.n } in
       let st = fresh_state csp doms in
       let r =
+        Obs.Span.with_ "csp.root_ac" @@ fun () ->
         try
-          propagate csp st (List.init csp.n Fun.id);
+          for a = csp.arcs - 1 downto 0 do
+            push_work st a
+          done;
+          propagate csp st;
           Root_doms doms
         with Wipeout -> Root_wiped
       in
@@ -394,8 +503,7 @@ let root_doms csp =
         | Root_wiped -> None
         | Root_unknown -> assert false (* the root state is never cleared *))
 
-let copy_doms doms =
-  Array.map (fun d -> { bits = Bitset.copy d.bits; card = d.card }) doms
+let copy_doms d = { words = Array.copy d.words; card = Array.copy d.card }
 
 exception Out_of_budget
 
@@ -416,32 +524,44 @@ let solve ?budget ?(nodes = ref 0) csp ~prune ~leaf =
     incr nodes;
     not (prune doms)
   in
+  let first doms x =
+    let exception First of int in
+    try
+      iter_dom csp doms x (fun b -> raise_notrace (First b));
+      raise Wipeout
+    with First b -> b
+  in
   let rec expand st =
     let var = ref (-1) and best = ref max_int in
     Array.iteri
-      (fun v d ->
-        if d.card > 1 && d.card < !best then begin
+      (fun v c ->
+        if c > 1 && c < !best then begin
           var := v;
-          best := d.card
+          best := c
         end)
-      st.doms;
+      st.doms.card;
     if !var = -1 then begin
-      let h = Array.map dom_first st.doms in
+      let h = Array.init csp.n (first st.doms) in
       if leaf h then raise (Found h)
     end
     else
       let var = !var in
-      let values = Bitset.to_list st.doms.(var).bits in
+      let values = ref [] in
+      iter_dom csp st.doms var (fun b -> values := b :: !values);
       List.iter
-        (fun x ->
+        (fun b ->
           let mark = st.trail_len in
           (try
-             List.iter (fun y -> if y <> x then dom_remove csp st var y) values;
-             propagate csp st [ var ];
+             for k = 0 to csp.w - 1 do
+               set_word csp st ((var * csp.w) + k)
+                 (if k = b / bpw then 1 lsl (b mod bpw) else 0)
+             done;
+             push_supported csp st var (-1);
+             propagate csp st;
              if enter st.doms then expand st
            with Wipeout -> ());
           undo_to csp st mark)
-        values
+        (List.rev !values)
   in
   match root_doms csp with
   | None -> None
@@ -452,6 +572,17 @@ let solve ?budget ?(nodes = ref 0) csp ~prune ~leaf =
           expand (fresh_state csp (copy_doms template));
           None
         with Found h -> Some h)
+
+let root_domains g =
+  let csp = build_csp g in
+  match root_doms csp with
+  | None -> None
+  | Some doms ->
+      Some
+        (Array.init csp.n (fun x ->
+             let l = ref [] in
+             iter_dom csp doms x (fun b -> l := b :: !l);
+             List.rev !l))
 
 type csp_handle = csp
 
@@ -474,12 +605,11 @@ let search_violating ?budget ?csp g s =
       | [] -> not (Tuple_relation.mem s (List.rev prefix_rev))
       | p :: rest ->
           let escaped = ref false in
-          Bitset.iter
-            (fun x -> if not !escaped then escaped := go (x :: prefix_rev) rest)
-            doms.(p).bits;
+          iter_dom csp doms p (fun x ->
+              if not !escaped then escaped := go (x :: prefix_rev) rest);
           !escaped
     in
-    let size = List.fold_left (fun acc p -> acc * doms.(p).card) 1 tup in
+    let size = List.fold_left (fun acc p -> acc * doms.card.(p)) 1 tup in
     if size > cap then true else go [] tup
   in
   let prune doms = not (Tuple_relation.exists (tuple_can_escape doms) s) in

@@ -9,8 +9,10 @@
     data graph homomorphism.
 
     Both conditions are binary constraints over node images, so the
-    searches below run as a CSP: AC-3 arc consistency over the edge and
-    data constraints, then backtracking on the smallest domain.  The
+    searches below run as a CSP: arc consistency over the edge and data
+    constraints, revised straight on the graph's successor, predecessor
+    and value-class word rows, then backtracking on the smallest
+    domain.  The
     violation search additionally prunes subtrees in which every tuple of
     the target relation can only land inside the relation — without this,
     deciding preservation would enumerate all homomorphisms, of which
@@ -29,6 +31,13 @@ type csp_handle
     build it once and reuse it across many relation checks. *)
 
 val csp_of : Datagraph.Data_graph.t -> csp_handle
+
+val root_domains : Datagraph.Data_graph.t -> int list array option
+(** The arc-consistent domains every search starts from: the values of
+    each node's image, ascending.  [None] would mean that arc
+    consistency wiped a domain out; the identity homomorphism survives
+    every revise, so that never happens.  The fixpoint is unique, so it
+    does not depend on the revision order. *)
 
 type violation_outcome = {
   result : [ `Preserved | `Violation of t * int list | `Budget_exhausted ];

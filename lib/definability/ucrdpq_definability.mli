@@ -23,17 +23,15 @@ val is_definable :
 val is_definable_binary :
   Datagraph.Data_graph.t -> Datagraph.Relation.t -> bool
 
-val phi_g : Datagraph.Data_graph.t -> Query_lang.Conjunctive.atom list
-(** The body [φ_G(x̄)] of Lemma 34 over variables ["x0" … "x<n-1>"]
-    (one per node), including a trivial [xi -eps-> xi] atom per node so
-    every variable occurs. *)
-
 val canonical_query :
   Datagraph.Data_graph.t ->
   Datagraph.Tuple_relation.t ->
   Query_lang.Conjunctive.t
 (** The Lemma 34 query — one CRDPQ per tuple of [S] over the shared body
-    {!phi_g} — {e without} checking definability first: it defines [S]
+    [φ_G(x̄)]: one variable ["x<i>"] per node, an atom per edge and per
+    reachable pair's data (in)equality, and a trivial [xi -eps-> xi]
+    atom per node so every variable occurs — {e without} checking
+    definability first: it defines [S]
     exactly when [S] is preserved by every homomorphism.  For the empty
     relation the result is the empty union [[]]. *)
 

@@ -119,7 +119,8 @@ let classify_item st j =
       | _ -> note_disallowed st "batch item without digest/result")
 
 (* A full response line.  Returns the digest of a successful
-   decide/delta (to advance the chain); [None] on anything else. *)
+   decide/delta whose outcome the server stored (to advance the chain);
+   [None] on anything else, an unknown verdict included. *)
 let classify st ~batch line =
   match Json.parse line with
   | Error msg ->
@@ -145,7 +146,18 @@ let classify st ~batch line =
           | Some digest, Some result ->
               ignore (Atomic.fetch_and_add st.n_ok 1);
               record_verdict st digest (Json.to_string result);
-              Some digest
+              (* The server stores no unknown verdict, so a delta
+                 could not resolve its digest. *)
+              if Option.bind (Json.member "verdict" result) Json.to_str = Some "unknown"
+              then None
+              else Some digest
+          | None, Some _ when Option.bind (Json.member "op" j) Json.to_str = Some "delta"
+            ->
+              (* A delta whose outcome the server did not store (an
+                 unknown verdict) has no digest to chain on: answered,
+                 and the chain restarts from its base. *)
+              ignore (Atomic.fetch_and_add st.n_ok 1);
+              None
           | _ ->
               note_disallowed st "ok response without digest/result";
               None)
@@ -550,6 +562,12 @@ let check ~(clean : report) ~(chaos : report) =
   List.iter
     (fun msg -> add ("clean run disallowed event: " ^ msg))
     clean.disallowed;
+  (* Without faults every request is answered: an error class on the
+     clean run (a refused stale digest, say) is a server fault. *)
+  List.iter
+    (fun (cls, n) ->
+      if n > 0 then add (Printf.sprintf "clean run error: %d %s" n cls))
+    clean.errors;
   List.iter
     (fun msg -> add ("chaos run disallowed event: " ^ msg))
     chaos.disallowed;

@@ -61,6 +61,7 @@ val report_of_string : string -> (report, string) result
 val check : clean:report -> chaos:report -> (int, string list) result
 (** The safety invariant, clean vs chaos: both reports must carry the
     same [schedule_crc]; every chaos verdict whose digest the clean run
-    also answered must be byte-identical to the clean verdict; the
-    chaos run must have no [disallowed] events.  [Ok n] gives the
+    also answered must be byte-identical to the clean verdict; neither
+    run may have [disallowed] events, and the clean run no errors of
+    any class.  [Ok n] gives the
     number of digests compared; [Error] lists every violation. *)

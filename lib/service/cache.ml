@@ -302,7 +302,7 @@ let find_instance t key = Option.map (fun e -> e.inst) (find_entry t key)
 type delta_outcome = {
   outcome : Outcome.t;
   inst : Instance.t;
-  key : string;
+  key : string option;
   repaired : bool;
 }
 
@@ -329,8 +329,14 @@ let apply_edit t ?fuel ?deadline_s ?(k = 1) ~lang ~key edit =
           (* The chained key costs O(edit), not O(graph): the edited
              instance is addressable by the follow-up delta request
              without re-canonicalizing the graph. *)
-          let key' = Content_hash.chain_key ~parent:key edit in
-          if cacheable outcome then store t key' (entry ~lang ~k inst' outcome);
+          let key' =
+            if cacheable outcome then begin
+              let key' = Content_hash.chain_key ~parent:key edit in
+              store t key' (entry ~lang ~k inst' outcome);
+              Some key'
+            end
+            else None
+          in
           Ok { outcome; inst = inst'; key = key'; repaired })
 
 let insert t ?(k = 1) ~lang g s outcome =

@@ -167,7 +167,10 @@ val find_instance : t -> string -> Engine.Instance.t option
 type delta_outcome = {
   outcome : Engine.Outcome.t;
   inst : Engine.Instance.t;  (** the edited instance (for rendering) *)
-  key : string;  (** chained digest addressing the edited instance *)
+  key : string option;
+      (** chained digest addressing the edited instance; [None] when the
+          outcome was not stored (an [Unknown] verdict), so no later
+          request could resolve it *)
   repaired : bool;  (** fast path vs. full-decide fallback *)
 }
 

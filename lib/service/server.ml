@@ -598,18 +598,21 @@ let handle_delta t oc ~env ~lang ~k ~fuel ~timeout_s ~digest edit =
           | Ok { Cache.outcome; inst; key; repaired } ->
               let wall_s = Unix.gettimeofday () -. t0 in
               Obs.Histogram.record_s h_delta wall_s;
-              note_slow t ~op:"delta" ~digest:(Some key) ~queue_wait_s ~wall_s
-                ~phases;
+              note_slow t ~op:"delta" ~digest:key ~queue_wait_s ~wall_s ~phases;
+              (* No digest for an outcome the cache did not store: a
+                 follow-up delta on it could only be refused. *)
               respond oc
                 (ok "delta"
-                   [
-                     ("repair", Wire.json_string (if repaired then "hit" else "miss"));
-                     ("digest", Wire.json_string key);
-                     ( "result",
-                       Wire.verdict_to_string (Engine.Instance.graph inst) ~lang
-                         outcome );
-                     service_fields ~queue_wait_s ~wall_s;
-                   ]))
+                   ([ ("repair", Wire.json_string (if repaired then "hit" else "miss")) ]
+                   @ Option.fold ~none:[]
+                       ~some:(fun key -> [ ("digest", Wire.json_string key) ])
+                       key
+                   @ [
+                       ( "result",
+                         Wire.verdict_to_string (Engine.Instance.graph inst) ~lang
+                           outcome );
+                       service_fields ~queue_wait_s ~wall_s;
+                     ])))
 
 let handle_sleep t oc ~ms =
   incr t.n_sleeps;

@@ -1,10 +1,9 @@
 (** Dense 0/1 matrices stored as one {!Bitset} per row — the packed
-    representation of binary relations on node sets: per-label adjacency,
-    reachability closures, and CSP constraint tables.
+    representation of binary relations on node sets: per-label adjacency
+    and reachability closures.
 
     Rows are exposed directly ({!row} returns the underlying bitset, not
-    a copy) so kernels can run word-parallel row operations: a CSP revise
-    is [Bitset.disjoint (row m x) dom] per candidate [x], and transitive
+    a copy) so kernels can run word-parallel row operations: transitive
     closure is Warshall with row unions. *)
 
 type t

@@ -6,11 +6,11 @@
     bits, i.e. 63 on 64-bit systems), so the kernels below compile to a
     handful of word ops with no allocation.
 
-    These sets back the hot paths of the definability checkers: CSP
-    domains in [Hom], adjacency and reachability matrices in
-    [Data_graph] (via {!Bitmatrix}); the tuple-of-state-sets BFS in
-    [Witness_search] keeps its sets in a flat word arena of its own and
-    uses only {!bits_per_word}, {!popcount} and {!hash_words}. *)
+    These sets back the adjacency and reachability matrices in
+    [Data_graph] (via {!Bitmatrix}).  The CSP of [Hom] and the
+    tuple-of-state-sets BFS in [Witness_search] keep their sets in flat
+    word arrays of their own and use only {!bits_per_word}, {!popcount}
+    and (the BFS) {!hash_words}. *)
 
 type t
 
@@ -60,8 +60,8 @@ val first : t -> int option
 
 val iter : (int -> unit) -> t -> unit
 (** Ascending order.  Each machine word is read once when the iteration
-    reaches it, so [f] may remove the element it was called with (as the
-    CSP revise loop does) but must not add elements. *)
+    reaches it, so [f] may remove the element it was called with but
+    must not add elements. *)
 
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list
@@ -75,7 +75,7 @@ val diff_inplace : t -> t -> unit
 
 val disjoint : t -> t -> bool
 (** [disjoint a b] iff [a ∩ b = ∅] — a word-wise AND + test with no
-    allocation; the inner loop of the CSP revise. *)
+    allocation. *)
 
 val intersects : t -> t -> bool
 val subset : t -> t -> bool

@@ -303,12 +303,12 @@ let test_hom_agrees_with_brute_force () =
     end
   done
 
-(* The same agreement as a property, over graphs built to share
-   constraint tables: 1–5 nodes (at most 5⁵ = 3125 maps to enumerate),
-   1–3 labels with several labels on one ordered pair, edges both ways
-   and self-loops, and 1–3 data values — so same-value, distinct-value
-   and never-pruning tables all occur, alone and merged into edge
-   tables.  The target is a random relation of arity 1 or 2. *)
+(* The same agreement as a property: 1–5 nodes (at most 5⁵ = 3125 maps
+   to enumerate), 1–3 labels with several labels on one ordered pair,
+   edges both ways and self-loops, and 1–3 data values — so same-value
+   and distinct-value constraints occur, alone and joined to edge
+   constraints, and single-valued graphs too.  The target is a random
+   relation of arity 1 or 2. *)
 let gen_hom_case st =
   let n = 1 + Random.State.int st 5 in
   let delta = 1 + Random.State.int st 3 in
@@ -365,12 +365,81 @@ let hom_agrees (g, s) =
   | Some h -> ref_is_hom g h && violates h
   | None -> not (List.exists violates brute)
 
+let hom_outcome_repr result nodes =
+  let r =
+    match result with
+    | `Preserved -> "preserved"
+    | `Budget_exhausted -> "exhausted"
+    | `Violation (h, tup) ->
+        Printf.sprintf "violation[%s|%s]"
+          (String.concat "," (List.map string_of_int (Array.to_list h)))
+          (String.concat "," (List.map string_of_int tup))
+  in
+  Printf.sprintf "%s nodes=%d" r nodes
+
 let hom_reference_props =
   [
     QCheck.Test.make ~name:"Hom agrees with brute-force enumeration"
       ~count:200 ~long_factor:20
       (QCheck.make ~print:print_hom_case gen_hom_case)
       hom_agrees;
+  ]
+
+(* ---------- Hom: word-row arc consistency vs the table oracle ---------- *)
+
+(* Graphs of 1–16 nodes, and one in five of 60–70 nodes so domains span
+   two words; 1–3 labels with several labels on one ordered pair, edges
+   both ways and self-loops, and 1–4 data values.  Larger graphs are
+   sparser, so the searches below stay small.  The target is a random
+   relation of arity 1 or 2 over reachable-or-not pairs. *)
+let gen_oracle_case st =
+  let n =
+    if Random.State.int st 5 = 0 then 60 + Random.State.int st 11
+    else 1 + Random.State.int st 16
+  in
+  let delta = 1 + Random.State.int st 4 in
+  let num_labels = 1 + Random.State.int st 3 in
+  let labels = List.filteri (fun i _ -> i < num_labels) [ "a"; "b"; "c" ] in
+  let values = Array.init n (fun _ -> dv (Random.State.int st delta)) in
+  let density = Random.State.float st (Float.min 0.6 (3. /. float_of_int n)) in
+  let edges = ref [] in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      List.iter
+        (fun a ->
+          if Random.State.float st 1. < density then edges := (u, a, v) :: !edges)
+        labels
+    done
+  done;
+  let g = DG.build ~values ~edges:!edges in
+  let arity = 1 + Random.State.int st 2 in
+  let target =
+    TR.of_list ~universe:n ~arity
+      (List.init (1 + Random.State.int st 4) (fun _ ->
+           List.init arity (fun _ -> Random.State.int st n)))
+  in
+  (g, target)
+
+let hom_oracle_props =
+  let arb = QCheck.make ~print:print_hom_case gen_oracle_case in
+  [
+    QCheck.Test.make ~name:"root domains equal the table AC-3's" ~count:300
+      ~long_factor:20 arb (fun (g, _) ->
+        Hom.root_domains g = Hom_oracle.root_domains g);
+    QCheck.Test.make
+      ~name:"violation search equals the table search (nodes, hom, tuple)"
+      ~count:200 ~long_factor:20 arb (fun (g, s) ->
+        List.for_all
+          (fun fuel ->
+            let budget () = Option.map (fun f -> Engine.Budget.create ~fuel:f ()) fuel in
+            let o = Hom.search_violating ?budget:(budget ()) g s in
+            hom_outcome_repr o.result o.nodes_explored
+            =
+            let result, nodes = Hom_oracle.search_violating ?budget:(budget ()) g s in
+            hom_outcome_repr result nodes)
+          [ Some 3; Some 40; Some 400 ]
+        && List.map Array.to_list (Hom.all ~limit:40 g)
+           = List.map Array.to_list (Hom_oracle.all ~limit:40 g));
   ]
 
 (* ---------- Rem: packed evaluator vs generic reference ---------- *)
@@ -462,4 +531,5 @@ let () =
         ] );
       ( "hom reference",
         List.map QCheck_alcotest.to_alcotest hom_reference_props );
+      ( "hom oracle", List.map QCheck_alcotest.to_alcotest hom_oracle_props );
     ]

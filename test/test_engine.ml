@@ -167,8 +167,8 @@ let unknown_exhausted o =
 let test_fuel_exhaustion_deterministic () =
   (* Tiny fuel starves every decider into the same Unknown on every run,
      and the search state carries nothing over between runs.  The ucrdpq
-     CSP proves fig1/S2 preserved almost without branching (AC-3 does the
-     work), so only a zero budget reliably starves it. *)
+     CSP proves fig1/S2 preserved almost without branching (arc
+     consistency does the work), so only a zero budget reliably starves it. *)
   List.iter
     (fun lang ->
       let fuel = if lang = "ucrdpq" then 0 else 2 in

@@ -74,6 +74,53 @@ let test_sat_reduction_shape () =
   (* S has m + 8m unary tuples. *)
   Alcotest.(check int) "|S|" 18 (Datagraph.Tuple_relation.cardinal r.Sat.target)
 
+(* Theorem 35 through the engine, both halves: the reduction of F is
+   decided UCRDPQ-definable iff F is unsatisfiable.  Literals may repeat
+   a variable and one clause in three is a unit clause (l, l, l), so
+   unsatisfiable formulas over 3 variables occur with 2–8 clauses.  A
+   violating homomorphism must be one and must move a tuple out of S.
+   A [Definable] certificate must be Lemma 34's canonical query, and
+   the constraint-table search of [Hom_oracle] must find S preserved
+   too.  Re-evaluating that query ([Outcome.check_certificate]) is left
+   out: it is a conjunctive query with one variable per node, and on
+   the smallest reduction graph (40 nodes) it runs for minutes. *)
+let gen_cnf st =
+  let lit () = (1 + Random.State.int st 3) * if Random.State.bool st then 1 else -1 in
+  let clause () =
+    if Random.State.int st 3 = 0 then
+      let l = lit () in
+      (l, l, l)
+    else (lit (), lit (), lit ())
+  in
+  Cnf.make ~num_vars:3 (List.init (2 + Random.State.int st 7) (fun _ -> clause ()))
+
+let thm35_engine_prop =
+  QCheck.Test.make ~name:"ucrdpq decide is Definable iff F is unsatisfiable"
+    ~count:100 ~long_factor:20
+    (QCheck.make ~print:Cnf.to_string gen_cnf)
+    (fun f ->
+      Definability.Deciders.init ();
+      let r = Sat.build f in
+      let g = r.Sat.graph and s = r.Sat.target in
+      let inst = Engine.Instance.create_exn g s in
+      let unsat = not (Cnf.satisfiable f) in
+      match Engine.Registry.decide ~lang:"ucrdpq" inst with
+      | Error msg -> QCheck.Test.fail_report msg
+      | Ok o -> (
+          match o.Engine.Outcome.verdict with
+          | Engine.Outcome.Definable cert ->
+              (unsat || QCheck.Test.fail_report "Definable on a satisfiable formula")
+              && cert
+                 = Engine.Outcome.Ucrdpq
+                     (Definability.Ucrdpq_definability.canonical_query g s)
+              && fst (Hom_oracle.search_violating g s) = `Preserved
+          | Engine.Outcome.Not_definable (Engine.Outcome.Violating_hom { hom; tuple }) ->
+              ((not unsat)
+              || QCheck.Test.fail_report "Not_definable on an unsatisfiable formula")
+              && Definability.Hom.is_hom g hom
+              && not (Datagraph.Tuple_relation.mem s (List.map (fun p -> hom.(p)) tuple))
+          | _ -> QCheck.Test.fail_report "neither verdict carries its certificate"))
+
 (* ---------- Theorem 25 ---------- *)
 
 let stripes =
@@ -334,6 +381,7 @@ let () =
           Alcotest.test_case "fixed formulas" `Quick test_sat_reduction_fixed;
           Alcotest.test_case "random formulas" `Slow test_sat_reduction_random;
           Alcotest.test_case "shape" `Quick test_sat_reduction_shape;
+          QCheck_alcotest.to_alcotest thm35_engine_prop;
         ] );
       ( "theorem 25",
         [

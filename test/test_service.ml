@@ -1391,6 +1391,39 @@ let test_e2e_router_delta_chain () =
           Alcotest.(check bool) "repair outcome reported" true
             (member_str "repair" r2 <> None)))
 
+(* An unknown verdict partway through a delta chain: the cache does not
+   store it, so the response hands out no chained digest (the router
+   then notes no owner for it), and the chain goes on from the last
+   stored digest. *)
+let test_e2e_delta_unknown_has_no_digest () =
+  with_server (fun addr _srv ->
+      Client.with_connection addr (fun conn ->
+          let delta ?fuel edit digest =
+            request_ok conn
+              (Wire.Delta { lang = "rem"; k = None; fuel; timeout_s = None; digest; edit })
+          in
+          let digest_of what r =
+            match member_str "digest" r with
+            | Some d -> d
+            | None -> Alcotest.failf "no digest in %s response" what
+          in
+          let verdict r = Option.bind (Json.member "result" r) (member_str "verdict") in
+          let d0 = digest_of "decide" (request_ok conn (decide_req s2_text)) in
+          let d1 = digest_of "delta" (delta (Wire.Add_node ("w9", 7)) d0) in
+          (* v3 -> v4 -> v1 -> v2 reads 0 1 0 1, like v1 -> ... -> v4: the
+             stored REM certificate now defines (v3, v2), outside S, so
+             the repair misses and one step of fuel cannot decide. *)
+          let unknown = delta ~fuel:1 (Wire.Add_edge ("v4", "a", "v1")) d1 in
+          Alcotest.(check (option string)) "answered" (Some "ok") (member_str "status" unknown);
+          Alcotest.(check (option string)) "fuel ran out" (Some "unknown") (verdict unknown);
+          Alcotest.(check (option string)) "no digest for an unstored outcome" None
+            (member_str "digest" unknown);
+          (* The chain continues from the last stored digest. *)
+          let r = delta (Wire.Add_edge ("v4", "a", "v1")) d1 in
+          Alcotest.(check (option string)) "re-based delta answered" (Some "ok")
+            (member_str "status" r);
+          ignore (digest_of "re-based delta" r)))
+
 let test_e2e_shard_restart_serves_warm () =
   (* Kill one shard (ungracefully: no shutdown, no sync beyond
      fsync=Always), restart it over the same store directory, and the
@@ -2593,6 +2626,9 @@ let () =
           ("decide via router", `Quick, test_e2e_router_decide);
           ("batch split and reassembly", `Quick, test_e2e_router_batch);
           ("delta chain routing", `Quick, test_e2e_router_delta_chain);
+          ( "unknown delta hands out no digest",
+            `Quick,
+            test_e2e_delta_unknown_has_no_digest );
           ("shard restart serves warm", `Quick, test_e2e_shard_restart_serves_warm);
           ("shard unavailable is typed and fast", `Quick,
            test_e2e_router_shard_unavailable);
